@@ -502,10 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument(
         "--assert-comparison-reduction",
         action="store_true",
-        help="exit non-zero unless steal-mode with filter propagation "
-        "spends >= 15%% fewer aggregate dominance comparisons than the "
-        "static partition/merge path (counter-based: hardware- and "
-        "core-count-independent)",
+        help="exit non-zero unless the default plan with filter "
+        "propagation spends >= 15%% fewer aggregate dominance comparisons "
+        "than the one-task-per-slot, filter-off baseline (counter-based: "
+        "hardware- and core-count-independent)",
     )
 
     bv = sub.add_parser(
@@ -1195,11 +1195,15 @@ def _cmd_bench_parallel(args) -> int:
             f"{steals:>7} {hits:>11}  {','.join(modes)}"
         )
     comparison = report["comparison"]
+    baseline = comparison["baseline_config"]
     print(
         f"  comparisons at {comparison['workers']} workers: "
-        f"static {comparison['static_comparisons']}, "
+        f"baseline {comparison['baseline_comparisons']} "
+        f"(tasks_per_worker={baseline['tasks_per_worker']}, "
+        f"filter={baseline['filter']}), "
         f"steal {comparison['steal_comparisons']} "
-        f"({comparison['reduction']:.1%} reduction; dynamic-filter "
+        f"({comparison['reduction']:.1%} reduction; board "
+        f"{comparison['board_reduction']:.1%} vs filter off; dynamic-filter "
         f"{comparison['steal_dynamic_comparisons']})"
     )
     if not report["parity_ok"]:

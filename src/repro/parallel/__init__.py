@@ -10,18 +10,14 @@ compute), and merges finished shards incrementally with the paper's
 Lemma 4.1 restriction checks.  Entry points::
 
     engine.run("sdc+", parallel=ParallelConfig(workers=4))
+    engine.parallel_executor(4)                   # reusable executor
     engine.serve(parallel=4)                      # server execution mode
-    parallel_skyline(dataset, "sdc+", config=4)   # one-shot
     repro bench-parallel                          # speedup + comparison CLI
 """
 
 from repro.parallel.config import ParallelConfig
-from repro.parallel.executor import (
-    ParallelResult,
-    ParallelSkylineExecutor,
-    parallel_skyline,
-)
-from repro.parallel.merge import IncrementalMerger, MergeOutcome, merge_local_skylines
+from repro.parallel.executor import ParallelResult, ParallelSkylineExecutor
+from repro.parallel.merge import IncrementalMerger, MergeOutcome
 from repro.parallel.partition import (
     Partition,
     Shard,
@@ -34,10 +30,8 @@ __all__ = [
     "ParallelConfig",
     "ParallelResult",
     "ParallelSkylineExecutor",
-    "parallel_skyline",
     "IncrementalMerger",
     "MergeOutcome",
-    "merge_local_skylines",
     "Partition",
     "Shard",
     "TaskPlan",

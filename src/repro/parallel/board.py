@@ -19,8 +19,8 @@ mirroring its input slice, plus a counter row (one
 parent polls to merge finished shards *incrementally* -- no barrier on
 the full fan-out.
 
-**Filter board** (the cross-shard Lemma 4.2 propagation).  Each task
-owns ``board_reps`` representative slots.  The parent deterministically
+**Filter board** (the cross-shard Lemma 4.2 propagation).  Each task owns
+:data:`BOARD_REPS` representative slots.  The parent deterministically
 seeds up to two *static* representatives per task before dispatch: the
 task's minimum-key point and its minimum-key completely-covering point.
 The min-key point of any subset is a member of that subset's local
@@ -32,9 +32,9 @@ a real record, so ``q`` is dominated and cannot be a skyline answer,
 whether or not ``rep`` itself survives.  The strictness also protects
 transformed-space duplicates of ``rep`` (they must survive).  Workers
 consult the board *before and during* their shard scans (in
-``filter_chunk``-row passes) and, in ``"dynamic"`` filter mode, publish
-improved representatives out of each finished local skyline into their
-remaining slots -- cross-shard pruning while computation is still
+:data:`FILTER_CHUNK`-row passes) and, in ``"dynamic"`` filter mode,
+publish improved representatives out of each finished local skyline into
+their remaining slots -- cross-shard pruning while computation is still
 running, instead of only at merge time.
 """
 
@@ -53,6 +53,8 @@ __all__ = [
     "STAT_FIELDS",
     "BOLD_MATRIX",
     "FILTER_MODES",
+    "BOARD_REPS",
+    "FILTER_CHUNK",
     "ControlLayout",
     "ControlBlock",
     "static_representatives",
@@ -73,13 +75,22 @@ BOLD_MATRIX: np.ndarray = np.array(
 
 FILTER_MODES = {"off": 0, "static": 1, "dynamic": 2}
 
+#: Filter-board slots per task: the parent seeds up to two static
+#: representatives and workers may publish into the remaining slots.
+BOARD_REPS = 4
+
+#: Rows per filter pass: workers prune their shard in chunks of this
+#: size, re-reading the board between chunks so representatives
+#: published mid-query prune the remainder.
+FILTER_CHUNK = 4096
+
 TASK_PENDING, TASK_OK, TASK_TIMEOUT = 0, 1, 2
 
 #: Representative-slot states.
 REP_EMPTY, REP_STATIC, REP_DYNAMIC = 0, 1, 2
 
-_HEADER_INTS = 8  # n_tasks, slots, dims, board_reps, filter_mode, chunk, cancel, pad
-_HEADER_FLOATS = 2  # deadline epoch (0 = none), reserved
+_HEADER_INTS = 2  # filter mode, cancel flag
+_HEADER_FLOATS = 1  # deadline epoch (0 = none)
 
 
 def _align8(offset: int) -> int:
@@ -94,16 +105,15 @@ class ControlLayout:
     n_tasks: int
     slots: int
     dims: int
-    board_reps: int
     total_rows: int
     total: int
 
 
 def _compute_layout(
-    name: str, n_tasks: int, slots: int, dims: int, board_reps: int, total_rows: int
+    name: str, n_tasks: int, slots: int, dims: int, total_rows: int
 ) -> tuple[ControlLayout, dict[str, int]]:
     nstat = len(STAT_FIELDS)
-    nreps = n_tasks * board_reps
+    nreps = n_tasks * BOARD_REPS
     offsets: dict[str, int] = {}
     cursor = 0
 
@@ -122,7 +132,6 @@ def _compute_layout(
     put("result_count", 8 * n_tasks)
     put("result_rows", 8 * total_rows)
     put("counters", 8 * n_tasks * nstat)
-    put("task_elapsed", 8 * n_tasks)
     put("steals", 8 * slots)
     put("claim_seconds", 8 * slots)
     put("rep_state", 8 * nreps)
@@ -133,7 +142,6 @@ def _compute_layout(
         n_tasks=n_tasks,
         slots=slots,
         dims=dims,
-        board_reps=board_reps,
         total_rows=total_rows,
         total=max(cursor, 8),
     )
@@ -154,7 +162,7 @@ class ControlBlock:
         self._shm = shm
         self._owner = owner
         buf = shm.buf
-        n, s, d, r = layout.n_tasks, layout.slots, layout.dims, layout.board_reps
+        n, s, d, r = layout.n_tasks, layout.slots, layout.dims, BOARD_REPS
         nstat = len(STAT_FIELDS)
 
         def arr(key: str, shape, dtype):
@@ -170,7 +178,6 @@ class ControlBlock:
         self.result_count = arr("result_count", (n,), np.int64)
         self.result_rows = arr("result_rows", (layout.total_rows,), np.int64)
         self.counters = arr("counters", (n, nstat), np.int64)
-        self.task_elapsed = arr("task_elapsed", (n,), np.float64)
         self.steals = arr("steals", (s,), np.int64)
         self.claim_seconds = arr("claim_seconds", (s,), np.float64)
         self.rep_state = arr("rep_state", (n * r,), np.int64)
@@ -184,9 +191,7 @@ class ControlBlock:
         shards,
         slots: int,
         dims: int,
-        board_reps: int,
         filter_mode: str,
-        filter_chunk: int,
         deadline_epoch: float | None,
     ) -> "ControlBlock":
         """Parent-side: allocate and initialise the segment.
@@ -198,20 +203,13 @@ class ControlBlock:
         """
         n_tasks = len(shards)
         total_rows = sum(len(s.rows) for s in shards)
-        probe, _ = _compute_layout("?", n_tasks, slots, dims, board_reps, total_rows)
+        probe, _ = _compute_layout("?", n_tasks, slots, dims, total_rows)
         shm = shared_memory.SharedMemory(create=True, size=probe.total)
-        layout, offsets = _compute_layout(
-            shm.name, n_tasks, slots, dims, board_reps, total_rows
-        )
+        layout, offsets = _compute_layout(shm.name, n_tasks, slots, dims, total_rows)
         block = cls(layout, shm, offsets, owner=True)
         block.header_i[:] = 0
         block.header_f[:] = 0.0
-        block.header_i[0] = n_tasks
-        block.header_i[1] = slots
-        block.header_i[2] = dims
-        block.header_i[3] = board_reps
-        block.header_i[4] = FILTER_MODES[filter_mode]
-        block.header_i[5] = filter_chunk
+        block.header_i[0] = FILTER_MODES[filter_mode]
         if deadline_epoch is not None:
             block.header_f[0] = deadline_epoch
         cursor = 0
@@ -225,7 +223,6 @@ class ControlBlock:
         block.status[:] = TASK_PENDING
         block.result_count[:] = 0
         block.counters[:] = 0
-        block.task_elapsed[:] = 0.0
         block.steals[:] = 0
         block.claim_seconds[:] = 0.0
         block.rep_state[:] = REP_EMPTY
@@ -236,31 +233,22 @@ class ControlBlock:
         """Worker-side: map an existing segment read-write."""
         shm = shared_memory.SharedMemory(name=layout.name)
         _, offsets = _compute_layout(
-            layout.name,
-            layout.n_tasks,
-            layout.slots,
-            layout.dims,
-            layout.board_reps,
-            layout.total_rows,
+            layout.name, layout.n_tasks, layout.slots, layout.dims, layout.total_rows
         )
         return cls(layout, shm, offsets, owner=False)
 
     # ------------------------------------------------------------------
     @property
     def cancelled(self) -> bool:
-        return bool(self.header_i[6])
+        return bool(self.header_i[1])
 
     def cancel(self) -> None:
         """Raise the cooperative stop flag (drains exit between tasks)."""
-        self.header_i[6] = 1
+        self.header_i[1] = 1
 
     @property
     def filter_mode(self) -> int:
-        return int(self.header_i[4])
-
-    @property
-    def filter_chunk(self) -> int:
-        return int(self.header_i[5])
+        return int(self.header_i[0])
 
     @property
     def deadline_epoch(self) -> float | None:
@@ -282,7 +270,7 @@ class ControlBlock:
         two (min-key + min-key covering; see
         :func:`static_representatives`).
         """
-        base = task * self.layout.board_reps
+        base = task * BOARD_REPS
         for j, (cat_code, vector) in enumerate(reps[:2]):
             self.rep_vec[base + j] = vector
             self.rep_cat[base + j] = cat_code
@@ -296,10 +284,10 @@ class ControlBlock:
         a concurrent reader never observes a half-written entry.
         Returns how many were published.
         """
-        base = task * self.layout.board_reps
+        base = task * BOARD_REPS
         free = [
             base + j
-            for j in range(self.layout.board_reps)
+            for j in range(BOARD_REPS)
             if self.rep_state[base + j] == REP_EMPTY
         ]
         published = 0
@@ -343,7 +331,7 @@ class ControlBlock:
         """Drop the mapping (owner also destroys the segment)."""
         arrays = (
             "header_i header_f bounds home kill claims status result_count "
-            "result_rows counters task_elapsed steals claim_seconds "
+            "result_rows counters steals claim_seconds "
             "rep_state rep_cat rep_vec"
         ).split()
         for name in arrays:

@@ -31,36 +31,22 @@ class ParallelConfig:
         overhead would dominate) and the routing is *counted* -- see
         :attr:`ParallelResult.routed_serial` and the ``routed_serial``
         counter in the server's ``parallel`` metrics section.
-    max_stratum_skew:
-        Strata-mode eligibility threshold: when one SDC+ stratum holds
-        more than this fraction of all points, category partitioning
-        cannot balance and the partitioner falls back to grid mode.
     mode:
         ``"auto"`` (default) picks strata partitioning when the schema
         has a poset attribute and the strata are balanced enough, grid
         otherwise; ``"strata"`` / ``"grid"`` force one strategy
         (``"strata"`` still degrades to grid when no poset attribute
         exists).
-    scheduler:
-        ``"steal"`` (default): over-partition into fine-grained tasks
-        (about :attr:`tasks_per_worker` per slot, scaled down when the
-        cost model predicts little work) drained from a shared task
-        deque with steal accounting, cross-shard filter propagation
-        through the shared-memory board, and an incremental merge that
-        absorbs finished shards while others still compute.
-        ``"static"``: the legacy one-task-per-worker partition/merge
-        path (the baseline the comparison-reduction benchmark measures
-        against).  Platforms without the ``fork`` start method degrade
-        ``"steal"`` to ``"static"`` (the claim lock is inherited).
     tasks_per_worker:
-        Steal-mode over-partitioning target: aim for this many tasks
-        per worker slot so skewed strata cannot leave slots idle.
+        Over-partitioning target: aim for this many tasks per worker
+        slot so skewed strata cannot leave slots idle.  ``1`` gives one
+        task per slot (the comparison benchmark's baseline plan).
     min_task_work:
-        Steal-mode work floor, in estimated dominance comparisons per
-        task.  The task count adapts to the admission cost model's
-        per-``n log n`` work estimate (calibrated when an estimator is
-        supplied, analytic otherwise): light queries get fewer, larger
-        tasks so per-task dispatch overhead cannot dominate.
+        Work floor, in estimated dominance comparisons per task.  The
+        task count adapts to the admission cost model's per-``n log n``
+        work estimate (calibrated when an estimator is supplied,
+        analytic otherwise): light queries get fewer, larger tasks so
+        per-task dispatch overhead cannot dominate.
     filter:
         Filter-board behaviour.  ``"dynamic"`` (default): workers
         consult the board before and between chunks of their shard scan
@@ -71,26 +57,6 @@ class ParallelConfig:
         seed representatives are consulted -- bit-reproducible
         counters, used by the CI comparison-reduction gate.  ``"off"``:
         no board pruning (pure scheduling benefit).
-    board_reps:
-        Per-task filter-board capacity: the parent seeds up to two
-        static representatives per task and workers may publish into
-        the remaining slots.
-    filter_chunk:
-        Rows per filter pass: steal workers prune their shard in chunks
-        of this size, re-reading the board between chunks so
-        representatives published mid-query prune the remainder.
-    start_method:
-        ``multiprocessing`` start method for the pool.  ``None`` picks
-        ``"fork"`` when the platform offers it (cheapest: the worker
-        inherits the parent's modules) and the platform default
-        otherwise.
-    poll_interval:
-        Seconds between cancellation/deadline/merge-frontier checks
-        while the parent waits on workers.
-    fallback:
-        When ``True`` (default) a broken worker pool degrades to serial
-        recomputation with a :class:`~repro.exceptions.ParallelFallbackWarning`;
-        when ``False`` the underlying failure propagates.
     chaos:
         Optional :class:`~repro.resilience.chaos.FaultInjector` fired at
         the ``parallel.dispatch.shard<i>`` sites.  An injected fault
@@ -101,17 +67,10 @@ class ParallelConfig:
 
     workers: int | None = None
     min_shard_points: int = 32
-    max_stratum_skew: float = 0.8
     mode: str = "auto"
-    scheduler: str = "steal"
     tasks_per_worker: int = 4
     min_task_work: float = 8_000.0
     filter: str = "dynamic"
-    board_reps: int = 4
-    filter_chunk: int = 4096
-    start_method: str | None = None
-    poll_interval: float = 0.02
-    fallback: bool = True
     chaos: "FaultInjector | None" = None
 
     def __post_init__(self) -> None:
@@ -119,8 +78,6 @@ class ParallelConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.mode not in ("auto", "strata", "grid"):
             raise ValueError(f"unknown partition mode {self.mode!r}")
-        if self.scheduler not in ("steal", "static"):
-            raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.filter not in ("dynamic", "static", "off"):
             raise ValueError(f"unknown filter mode {self.filter!r}")
         if self.min_shard_points < 1:
@@ -133,16 +90,6 @@ class ParallelConfig:
             )
         if self.min_task_work <= 0:
             raise ValueError(f"min_task_work must be > 0, got {self.min_task_work}")
-        if self.board_reps < 2:
-            raise ValueError(f"board_reps must be >= 2, got {self.board_reps}")
-        if self.filter_chunk < 1:
-            raise ValueError(f"filter_chunk must be >= 1, got {self.filter_chunk}")
-        if not 0.0 < self.max_stratum_skew <= 1.0:
-            raise ValueError(
-                f"max_stratum_skew must be in (0, 1], got {self.max_stratum_skew}"
-            )
-        if self.poll_interval <= 0:
-            raise ValueError(f"poll_interval must be > 0, got {self.poll_interval}")
 
     def resolved_workers(self) -> int:
         """Worker slots: the explicit count, or ``os.cpu_count()``."""

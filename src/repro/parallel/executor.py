@@ -6,19 +6,17 @@ shared-memory point store and a persistent worker pool over one
 serves many queries (the serving layer keeps one per server); everything
 is built lazily on the first :meth:`run` and torn down by :meth:`close`.
 
-Two schedulers share the pool (see
-:attr:`~repro.parallel.config.ParallelConfig.scheduler`):
-
-* ``"static"`` -- the legacy one-task-per-worker fan-out: dispatch every
-  shard as its own future, barrier on all of them, merge once.
-* ``"steal"`` (default) -- over-partition into fine-grained tasks, submit
-  one *drain* per worker slot, and let drains claim tasks from the
-  shared deque (stealing from the most-loaded victim when their home
-  queue runs dry).  Workers prune their shards against the cross-shard
-  filter board before and during their scans, and the parent absorbs
-  finished shards into the merge **incrementally** -- shard ``g`` merges
-  (and streams to the sink) the moment tasks ``0..g`` are done, while
-  later tasks still compute.
+A sharded query over-partitions into fine-grained tasks (about
+:attr:`~repro.parallel.config.ParallelConfig.tasks_per_worker` per slot),
+submits one *drain* per worker slot, and lets drains claim tasks from
+the shared deque (stealing from the most-loaded victim when their home
+queue runs dry).  Workers prune their shards against the cross-shard
+filter board before and during their scans, and the parent absorbs
+finished shards into the merge **incrementally** -- shard ``g`` merges
+(and streams to the sink) the moment tasks ``0..g`` are done, while
+later tasks still compute.  ``tasks_per_worker=1`` with ``filter="off"``
+is the plain one-task-per-slot partition/merge (the comparison
+benchmark's baseline).
 
 Execution contract (asserted by the parity suite):
 
@@ -45,7 +43,9 @@ Execution contract (asserted by the parity suite):
   serial emission prefix, which a fan-out cannot reproduce.  Every
   serial routing is explicit -- :attr:`ParallelResult.routed_serial`
   plus a reason, surfaced as the server's ``routed_serial`` metric --
-  instead of a silent fall-through.
+  instead of a silent fall-through.  Platforms without the ``fork``
+  start method route serial (``"no-fork"``): drains inherit the claim
+  lock by fork.
 """
 
 from __future__ import annotations
@@ -69,23 +69,17 @@ from repro.exceptions import (
     ResilienceError,
 )
 from repro.parallel.board import (
+    REP_DYNAMIC,
     TASK_PENDING,
     TASK_TIMEOUT,
     ControlBlock,
     static_representatives,
 )
 from repro.parallel.config import ParallelConfig
-from repro.parallel.merge import IncrementalMerger, merge_local_skylines
+from repro.parallel.merge import IncrementalMerger
 from repro.parallel.partition import Partition, partition_dataset
 from repro.parallel.shard import SharedPointStore
-from repro.parallel.worker import (
-    ShardTask,
-    WorkerSetup,
-    ensure_claim_lock,
-    init_worker,
-    run_shard_task,
-    run_steal_drain,
-)
+from repro.parallel.worker import WorkerSetup, init_worker, run_steal_drain
 from repro.resilience.context import QueryContext
 from repro.resilience.executor import PartialResult, execute
 
@@ -94,12 +88,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.transform.dataset import TransformedDataset
     from repro.transform.point import Point
 
-__all__ = ["ParallelResult", "ParallelSkylineExecutor", "parallel_skyline"]
+__all__ = ["ParallelResult", "ParallelSkylineExecutor"]
 
 logger = logging.getLogger("repro.parallel")
 
 #: Stage keys every :attr:`ParallelResult.stage_seconds` dict carries.
-STAGE_KEYS = ("partition", "pool_setup", "compute", "steal_wait", "merge")
+STAGE_KEYS = (
+    "partition", "pool_setup", "board_seed", "compute", "steal_wait", "merge"
+)
+
+#: Seconds between cancellation/deadline/merge-frontier checks while
+#: the parent waits on workers.
+POLL_INTERVAL = 0.02
 
 
 @dataclass
@@ -128,22 +128,22 @@ class ParallelResult:
     #: ``True`` when a broken pool degraded this query to serial.
     fallback: bool = False
     fallback_reason: str | None = None
-    #: ``"steal"``, ``"static"`` or ``"serial"`` -- the discipline that
-    #: actually ran (``"steal"`` degrades to ``"static"`` without fork).
-    scheduler: str = "serial"
     #: Fine-grained tasks the query fanned out into (0 when serial).
     tasks: int = 0
     #: Tasks executed by a slot other than their home (steal events).
     steals: int = 0
     #: ``True`` when the query was *deliberately* routed to the serial
-    #: path (tiny data, shard floor, collapsed partition, budget) --
-    #: distinct from :attr:`fallback`, which is a crash recovery.
+    #: path (tiny data, shard floor, collapsed partition, budget, no
+    #: fork) -- distinct from :attr:`fallback`, which is a crash recovery.
     routed_serial: bool = False
     routed_reason: str | None = None
-    #: Wall-clock breakdown; ``merge`` overlaps ``compute`` under the
-    #: steal scheduler (shards absorb while others still run) and
-    #: ``steal_wait`` is the *aggregate* across slots of time spent in
-    #: claim/steal arbitration.
+    #: Wall-clock breakdown over :data:`STAGE_KEYS`.  ``partition`` is
+    #: billed only to the query that computed the (cached) partition;
+    #: ``pool_setup`` is the pool start (zero on a warm pool);
+    #: ``board_seed`` is the per-query control-block allocation plus
+    #: filter-board seeding; ``merge`` overlaps ``compute`` (shards
+    #: absorb while others still run) and ``steal_wait`` is the
+    #: *aggregate* across slots of time spent in claim/steal arbitration.
     stage_seconds: dict[str, float] = field(default_factory=dict)
     #: Dynamic filter-board representatives published by workers.
     filter_reps_published: int = 0
@@ -180,12 +180,12 @@ class ParallelResult:
         )
 
 
-def _fork_context(name: str | None):
-    if name is not None:
-        return multiprocessing.get_context(name)
-    if "fork" in multiprocessing.get_all_start_methods():
+def _fork_context():
+    """The ``fork`` multiprocessing context, or ``None`` without fork."""
+    try:
         return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
+    except ValueError:
+        return None
 
 
 def _stage_dict(**values: float) -> dict[str, float]:
@@ -208,9 +208,11 @@ class ParallelSkylineExecutor:
         #: the admission controller's calibrated estimator).
         self.estimator = estimator
         self._partition: Partition | None = None
-        self._partition_seconds = 0.0
         self._store: SharedPointStore | None = None
         self._pool: ProcessPoolExecutor | None = None
+        #: The current pool's claim lock (one per pool, see
+        #: :mod:`repro.parallel.worker`).
+        self._claim_lock = None
         self._closed = False
         # Serving runs concurrent queries through one executor; setup and
         # teardown must not interleave (a lost race leaks a shm segment).
@@ -227,21 +229,10 @@ class ParallelSkylineExecutor:
     def partition(self) -> Partition:
         """The sharding decision (computed on first use)."""
         if self._partition is None:
-            started = time.perf_counter()
             self._partition = partition_dataset(
                 self.dataset, self.config, self.estimator
             )
-            self._partition_seconds = time.perf_counter() - started
         return self._partition
-
-    def effective_scheduler(self) -> str:
-        """``"steal"`` only where the claim lock can be fork-inherited."""
-        if self.config.scheduler == "static":
-            return "static"
-        ctx = _fork_context(self.config.start_method)
-        if ctx.get_start_method() != "fork":
-            return "static"
-        return "steal"
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._setup_lock:
@@ -272,18 +263,15 @@ class ParallelSkylineExecutor:
                     bulk_load=dataset.bulk_load,
                 )
             )
-            if self.effective_scheduler() == "steal":
-                # Must exist in the parent's module globals *before* the
-                # pool forks its workers -- locks travel by inheritance,
-                # not pickling (see repro.parallel.worker).
-                ensure_claim_lock()
+            ctx = _fork_context()
+            self._claim_lock = ctx.Lock()
             self._pool = ProcessPoolExecutor(
                 max_workers=min(
                     self.config.resolved_workers(), len(partition.shards)
                 ),
-                mp_context=_fork_context(self.config.start_method),
+                mp_context=ctx,
                 initializer=init_worker,
-                initargs=(setup_blob, self._store.layout),
+                initargs=(setup_blob, self._store.layout, self._claim_lock),
             )
             return self._pool
 
@@ -329,18 +317,26 @@ class ParallelSkylineExecutor:
         docstring); ``sink`` receives answers incrementally -- on the
         serial path per algorithm checkpoint, on the sharded path one
         batch per merged shard as its merge pass completes (each batch
-        extends a valid prefix of the final emission order; under the
-        steal scheduler batches arrive while later tasks still compute).
+        extends a valid prefix of the final emission order, and batches
+        arrive while later tasks still compute).
         """
         if self._closed:
             raise ParallelError("executor is closed")
         target = stats if stats is not None else self.dataset.stats
         started = time.perf_counter()
-
-        has_budget = context is not None and context.budget is not None
+        cached = self._partition is not None
         partition = self.partition
-        if has_budget or partition.mode == "serial":
-            reason = "budget" if has_budget else (partition.reason or "serial")
+        partition_seconds = 0.0 if cached else time.perf_counter() - started
+
+        if context is not None and context.budget is not None:
+            routed_reason = "budget"
+        elif partition.mode == "serial":
+            routed_reason = partition.reason or "serial"
+        elif _fork_context() is None:
+            routed_reason = "no-fork"
+        else:
+            routed_reason = None
+        if routed_reason is not None:
             return self._run_serial(
                 algorithm,
                 target,
@@ -348,29 +344,27 @@ class ParallelSkylineExecutor:
                 sink,
                 options,
                 started,
+                partition_seconds,
                 mode="serial",
-                fallback=False,
-                fallback_reason=None,
-                routed_reason=reason,
+                routed_reason=routed_reason,
             )
 
-        scheduler = self.effective_scheduler()
         try:
-            if scheduler == "steal":
-                outcome = self._run_stealing(
-                    algorithm, target, context, sink, options, started, partition
-                )
-            else:
-                outcome = self._run_sharded(
-                    algorithm, target, context, sink, options, started, partition
-                )
+            return self._run_stealing(
+                algorithm,
+                target,
+                context,
+                sink,
+                options,
+                started,
+                partition,
+                partition_seconds,
+            )
         except ResilienceError:
             # Deadline / cancellation stops are the query's own control
             # flow, not a pool failure -- never recompute after them.
             raise
         except Exception as err:
-            if not self.config.fallback:
-                raise
             self._teardown()  # the pool is broken; rebuild lazily
             message = (
                 f"parallel worker pool failed mid-query "
@@ -396,12 +390,10 @@ class ParallelSkylineExecutor:
                 sink,
                 options,
                 started,
+                partition_seconds,
                 mode=partition.mode,
-                fallback=True,
                 fallback_reason=f"{type(err).__name__}: {err}",
-                routed_reason=None,
             )
-        return outcome
 
     # ------------------------------------------------------------------
     def _run_serial(
@@ -412,11 +404,11 @@ class ParallelSkylineExecutor:
         sink,
         options: dict,
         started: float,
+        partition_seconds: float,
         *,
         mode: str,
-        fallback: bool,
-        fallback_reason: str | None,
-        routed_reason: str | None,
+        fallback_reason: str | None = None,
+        routed_reason: str | None = None,
     ) -> ParallelResult:
         view = self.dataset.query_view(stats=target)
         before = target.snapshot()
@@ -426,152 +418,14 @@ class ParallelSkylineExecutor:
             algorithm=result.algorithm,
             elapsed=time.perf_counter() - started,
             mode=mode,
-            parallel=False,
-            workers=0,
-            shard_sizes=(),
-            eliminated_shards=(),
             counters=target.diff(before),
-            worker_counters=[],
-            merge_counters={},
-            fallback=fallback,
+            fallback=fallback_reason is not None,
             fallback_reason=fallback_reason,
-            scheduler="serial",
-            tasks=0,
-            steals=0,
             routed_serial=routed_reason is not None,
             routed_reason=routed_reason,
-            stage_seconds=_stage_dict(partition=self._partition_seconds),
+            stage_seconds=_stage_dict(partition=partition_seconds),
         )
 
-    # -- static scheduler ----------------------------------------------
-    def _run_sharded(
-        self,
-        algorithm: str,
-        target: ComparisonStats,
-        context: QueryContext | None,
-        sink,
-        options: dict,
-        started: float,
-        partition: Partition,
-    ) -> ParallelResult:
-        dataset = self.dataset
-        config = self.config
-        setup_started = time.perf_counter()
-        pool = self._ensure_pool()
-        pool_setup = time.perf_counter() - setup_started
-        deadline = context.deadline if context is not None else None
-        cancel = context.cancel if context is not None else None
-        expires = started + deadline if deadline is not None else None
-
-        chaos = config.chaos
-        futures = []
-        cursor = 0
-        compute_started = time.perf_counter()
-        for shard in partition.shards:
-            kill = False
-            if chaos is not None:
-                try:
-                    chaos.maybe_fail(f"parallel.dispatch.shard{shard.index}")
-                except Exception:
-                    kill = True
-            remaining = None
-            if expires is not None:
-                remaining = max(1e-6, expires - time.perf_counter())
-            task = ShardTask(
-                shard_index=shard.index,
-                start=cursor,
-                stop=cursor + len(shard.rows),
-                algorithm=algorithm,
-                options=dict(options),
-                deadline=remaining,
-                kill=kill,
-            )
-            cursor += len(shard.rows)
-            futures.append(pool.submit(run_shard_task, task))
-
-        pending = set(futures)
-        while pending:
-            done, pending = wait(
-                pending, timeout=config.poll_interval, return_when=FIRST_EXCEPTION
-            )
-            for future in done:
-                future.result()  # raises on a broken pool / worker fault
-            if cancel is not None and cancel.cancelled:
-                self._stop_pending(pending)
-                raise self._control_stop(
-                    QueryCancelledError(), algorithm, target, futures, started
-                )
-            if expires is not None and time.perf_counter() > expires:
-                self._stop_pending(pending)
-                raise self._control_stop(
-                    QueryTimeoutError(deadline, time.perf_counter() - started),
-                    algorithm,
-                    target,
-                    futures,
-                    started,
-                )
-        compute_seconds = time.perf_counter() - compute_started
-
-        outcomes = sorted((f.result() for f in futures), key=lambda o: o.shard_index)
-        if any(o.status == "timeout" for o in outcomes):
-            raise self._control_stop(
-                QueryTimeoutError(deadline, time.perf_counter() - started),
-                algorithm,
-                target,
-                futures,
-                started,
-            )
-
-        local_skylines = [
-            [dataset.points[row] for row in outcome.rows] for outcome in outcomes
-        ]
-        merge_stats = ComparisonStats()
-        merge_view = dataset.query_view(stats=merge_stats)
-        # The sink rides through the merge itself: each shard's survivor
-        # batch is pushed the moment that shard's pass finishes, so a
-        # streaming consumer sees progressive per-bucket delivery
-        # instead of one terminal batch.
-        merge_started = time.perf_counter()
-        merged = merge_local_skylines(merge_view, local_skylines, sink=sink)
-        merge_seconds = time.perf_counter() - merge_started
-
-        worker_counters = [outcome.counters for outcome in outcomes]
-        aggregate = ComparisonStats()
-        for snapshot in worker_counters:
-            aggregate.add_snapshot(snapshot)
-        aggregate.merge(merge_stats)
-        for snapshot in worker_counters:
-            target.add_snapshot(snapshot)
-        target.merge(merge_stats)
-
-        return ParallelResult(
-            points=merged.points,
-            algorithm=algorithm,
-            elapsed=time.perf_counter() - started,
-            mode=partition.mode,
-            parallel=True,
-            workers=min(config.resolved_workers(), len(partition.shards)),
-            shard_sizes=partition.sizes,
-            eliminated_shards=merged.eliminated,
-            counters=aggregate.snapshot(),
-            worker_counters=worker_counters,
-            merge_counters=merge_stats.snapshot(),
-            fallback=False,
-            fallback_reason=None,
-            scheduler="static",
-            tasks=len(partition.shards),
-            steals=0,
-            routed_serial=False,
-            routed_reason=None,
-            stage_seconds=_stage_dict(
-                partition=self._partition_seconds,
-                pool_setup=pool_setup,
-                compute=compute_seconds,
-                merge=merge_seconds,
-            ),
-        )
-
-    # -- steal scheduler -----------------------------------------------
     def _run_stealing(
         self,
         algorithm: str,
@@ -581,11 +435,13 @@ class ParallelSkylineExecutor:
         options: dict,
         started: float,
         partition: Partition,
+        partition_seconds: float,
     ) -> ParallelResult:
         dataset = self.dataset
         config = self.config
         setup_started = time.perf_counter()
         pool = self._ensure_pool()
+        pool_setup = time.perf_counter() - setup_started
         n_tasks = len(partition.shards)
         slots = min(config.resolved_workers(), n_tasks)
         deadline = context.deadline if context is not None else None
@@ -597,13 +453,12 @@ class ParallelSkylineExecutor:
             else None
         )
 
+        seed_started = time.perf_counter()
         block = ControlBlock.create(
             partition.shards,
             slots,
             dataset.dimensions,
-            config.board_reps,
             filter_mode=config.filter,
-            filter_chunk=config.filter_chunk,
             deadline_epoch=deadline_epoch,
         )
         try:
@@ -623,7 +478,7 @@ class ParallelSkylineExecutor:
                         chaos.maybe_fail(f"parallel.dispatch.shard{shard.index}")
                     except Exception:
                         block.kill[shard.index] = 1
-            pool_setup = time.perf_counter() - setup_started
+            board_seed = time.perf_counter() - seed_started
 
             compute_started = time.perf_counter()
             futures = [
@@ -636,6 +491,30 @@ class ParallelSkylineExecutor:
             merge_stats = ComparisonStats()
             merge_view = dataset.query_view(stats=merge_stats)
             merger = IncrementalMerger(merge_view, sink=sink)
+
+            def stop(error: ResilienceError) -> ResilienceError:
+                """Package a deadline/cancel stop: bill every finished
+                task plus the merge work done so far, and attach the
+                already-absorbed shard prefix (a valid prefix of the
+                final emission order)."""
+                block.cancel()
+                for i in range(n_tasks):
+                    if int(block.status[i]) != TASK_PENDING:
+                        target.add_snapshot(block.task_counters(i))
+                target.merge(merge_stats)
+                error.partial = PartialResult(
+                    points=list(merger.outcome().points),
+                    complete=False,
+                    exhausted_reason=(
+                        "deadline"
+                        if isinstance(error, QueryTimeoutError)
+                        else "cancelled"
+                    ),
+                    algorithm=algorithm,
+                    elapsed=time.perf_counter() - started,
+                )
+                return error
+
             frontier = 0
             merge_seconds = 0.0
             compute_seconds = None
@@ -643,9 +522,7 @@ class ParallelSkylineExecutor:
             while True:
                 if pending:
                     done, pending = wait(
-                        pending,
-                        timeout=config.poll_interval,
-                        return_when=FIRST_EXCEPTION,
+                        pending, timeout=POLL_INTERVAL, return_when=FIRST_EXCEPTION
                     )
                     for future in done:
                         future.result()  # raises on a broken pool
@@ -658,17 +535,8 @@ class ParallelSkylineExecutor:
                     and int(block.status[frontier]) != TASK_PENDING
                 ):
                     if int(block.status[frontier]) == TASK_TIMEOUT:
-                        block.cancel()
-                        raise self._steal_stop(
-                            QueryTimeoutError(
-                                deadline, time.perf_counter() - started
-                            ),
-                            algorithm,
-                            target,
-                            block,
-                            merge_stats,
-                            merger,
-                            started,
+                        raise stop(
+                            QueryTimeoutError(deadline, time.perf_counter() - started)
                         )
                     lo = int(block.bounds[frontier, 0])
                     count = int(block.result_count[frontier])
@@ -680,29 +548,12 @@ class ParallelSkylineExecutor:
                     frontier += 1
                 # Control checks come before the exit test: a cancelled
                 # or expired query must raise even when every task
-                # happened to finish inside the first poll interval
-                # (same semantics as the static path's wait loop).
+                # happened to finish inside the first poll interval.
                 if cancel is not None and cancel.cancelled:
-                    block.cancel()
-                    raise self._steal_stop(
-                        QueryCancelledError(),
-                        algorithm,
-                        target,
-                        block,
-                        merge_stats,
-                        merger,
-                        started,
-                    )
+                    raise stop(QueryCancelledError())
                 if expires is not None and time.perf_counter() > expires:
-                    block.cancel()
-                    raise self._steal_stop(
-                        QueryTimeoutError(deadline, time.perf_counter() - started),
-                        algorithm,
-                        target,
-                        block,
-                        merge_stats,
-                        merger,
-                        started,
+                    raise stop(
+                        QueryTimeoutError(deadline, time.perf_counter() - started)
                     )
                 if frontier >= n_tasks and not pending:
                     break
@@ -719,8 +570,6 @@ class ParallelSkylineExecutor:
                 target.add_snapshot(snapshot)
             target.merge(merge_stats)
 
-            from repro.parallel.board import REP_DYNAMIC
-
             return ParallelResult(
                 points=merged.points,
                 algorithm=algorithm,
@@ -733,16 +582,12 @@ class ParallelSkylineExecutor:
                 counters=aggregate.snapshot(),
                 worker_counters=worker_counters,
                 merge_counters=merge_stats.snapshot(),
-                fallback=False,
-                fallback_reason=None,
-                scheduler="steal",
                 tasks=n_tasks,
                 steals=int(block.steals.sum()),
-                routed_serial=False,
-                routed_reason=None,
                 stage_seconds=_stage_dict(
-                    partition=self._partition_seconds,
+                    partition=partition_seconds,
                     pool_setup=pool_setup,
+                    board_seed=board_seed,
                     compute=compute_seconds,
                     steal_wait=float(block.claim_seconds.sum()),
                     merge=merge_seconds,
@@ -753,59 +598,6 @@ class ParallelSkylineExecutor:
             )
         finally:
             block.close()
-
-    @staticmethod
-    def _stop_pending(pending) -> None:
-        for future in pending:
-            future.cancel()
-
-    @staticmethod
-    def _control_stop(error, algorithm: str, target: ComparisonStats, futures, started):
-        """Package a deadline/cancel stop: bill finished shards, attach
-        an (empty) partial -- static sharded execution emits nothing
-        until the merge, so a stopped query has no answer prefix."""
-        for future in futures:
-            if future.done() and not future.cancelled() and future.exception() is None:
-                target.add_snapshot(future.result().counters)
-        error.partial = PartialResult(
-            points=[],
-            complete=False,
-            exhausted_reason=(
-                "deadline" if isinstance(error, QueryTimeoutError) else "cancelled"
-            ),
-            algorithm=algorithm,
-            elapsed=time.perf_counter() - started,
-        )
-        return error
-
-    @staticmethod
-    def _steal_stop(
-        error,
-        algorithm: str,
-        target: ComparisonStats,
-        block: ControlBlock,
-        merge_stats: ComparisonStats,
-        merger: IncrementalMerger,
-        started: float,
-    ):
-        """Package a steal-mode stop: bill every finished task plus the
-        merge work done so far, and attach the already-absorbed shard
-        prefix (a valid prefix of the final emission order -- strictly
-        more useful than the static path's empty partial)."""
-        for i in range(block.layout.n_tasks):
-            if int(block.status[i]) != TASK_PENDING:
-                target.add_snapshot(block.task_counters(i))
-        target.merge(merge_stats)
-        error.partial = PartialResult(
-            points=list(merger.outcome().points),
-            complete=False,
-            exhausted_reason=(
-                "deadline" if isinstance(error, QueryTimeoutError) else "cancelled"
-            ),
-            algorithm=algorithm,
-            elapsed=time.perf_counter() - started,
-        )
-        return error
 
 
 def _remaining_context(context: QueryContext | None) -> QueryContext | None:
@@ -818,16 +610,3 @@ def _remaining_context(context: QueryContext | None) -> QueryContext | None:
         deadline = max(1e-6, context._expires_at - time.monotonic())
     return QueryContext(deadline=deadline, budget=context.budget, cancel=context.cancel)
 
-
-def parallel_skyline(
-    dataset: "TransformedDataset",
-    algorithm: str = "sdc+",
-    config: ParallelConfig | int | None = None,
-    *,
-    stats: ComparisonStats | None = None,
-    context: QueryContext | None = None,
-    **options,
-) -> ParallelResult:
-    """One-shot sharded query (creates and closes a throwaway executor)."""
-    with ParallelSkylineExecutor(dataset, config) as executor:
-        return executor.run(algorithm, stats=stats, context=context, **options)

@@ -1,6 +1,6 @@
 """Cross-shard merge of shard-local skylines.
 
-Both partition modes are *ordered* (see :mod:`repro.parallel.partition`):
+Every partition is *ordered* (see :mod:`repro.parallel.partition`):
 a point in shard ``g`` can only be dominated by points in shards
 ``h <= g``.  The merge is therefore a single pass in shard order -- each
 shard's candidates are checked against the running definite set ``S``
@@ -13,8 +13,7 @@ work-stealing executor can merge shard ``g`` the moment tasks
 ``0..g`` have finished, while later tasks are still computing -- no
 barrier on the full fan-out, and each absorbed shard's survivors stream
 to the sink immediately (they are definite: only earlier shards could
-have dominated them).  :func:`merge_local_skylines` is the one-shot
-wrapper over the same pass, bit-identical in answers and counters.
+have dominated them).
 
 Two paper devices make the pass cheap:
 
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 from repro.core.categories import Category, dominators_of, is_bold, ordered_categories
 from repro.transform.point import Point
 
-__all__ = ["MergeOutcome", "IncrementalMerger", "merge_local_skylines"]
+__all__ = ["MergeOutcome", "IncrementalMerger"]
 
 
 @dataclass
@@ -168,15 +167,3 @@ class IncrementalMerger:
         """Global skyline so far (emission order) + eliminated shards."""
         return MergeOutcome(points=self._out, eliminated=tuple(self._eliminated))
 
-
-def merge_local_skylines(dataset, local_skylines: list[list[Point]],
-                         sink=None) -> MergeOutcome:
-    """Merge per-shard local skylines (shard order) into the global one.
-
-    One-shot wrapper over :class:`IncrementalMerger`; see its docstring
-    for the emission-order and progressive-delivery guarantees.
-    """
-    merger = IncrementalMerger(dataset, sink=sink)
-    for g, candidates in enumerate(local_skylines):
-        merger.absorb(g, candidates)
-    return merger.outcome()

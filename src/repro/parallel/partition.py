@@ -10,8 +10,9 @@ guarantee -- a point can only be dominated by points in its own or an
 pass (earlier shards' survivors are definite; see
 :mod:`repro.parallel.merge`).
 
-**Grid mode** is the fallback when no poset attribute exists, a single
-stratum holds (almost) all points, or the caller forces it: points are
+**Grid mode** is the fallback when no poset attribute exists, one
+stratum holds more than :data:`MAX_STRATUM_SKEW` of all points, or the
+caller forces it: points are
 rank-partitioned on the monotone L1 key of the transformed vector
 (``Point.key``) into contiguous chunks.  Key rank is one-directional for
 dominance too: dominance implies m-dominance (the transform's
@@ -19,27 +20,30 @@ necessary-condition property, Section 4.2), and m-dominance implies a
 strictly smaller key -- so a point in a later chunk can never dominate a
 point in an earlier one and the same ordered merge applies.
 
-**Task sizing** is adaptive under the ``"steal"`` scheduler:
-:func:`plan_tasks` targets :attr:`~repro.parallel.config.ParallelConfig.tasks_per_worker`
-tasks per worker slot (so skewed strata cannot leave slots idle), scaled
-down when the admission cost model's calibrated per-``n log n`` work
-estimate says the query is too light to amortise that many dispatches,
-and floored by ``min_shard_points``.  The legacy ``"static"`` scheduler
-keeps one task per slot.  Every serial routing decision carries an
-explicit ``reason`` so callers can *count* it (the ``routed_serial``
-metric) instead of silently falling through.
+**Task sizing** is adaptive: :func:`plan_tasks` targets
+:attr:`~repro.parallel.config.ParallelConfig.tasks_per_worker` tasks per
+worker slot (so skewed strata cannot leave slots idle), scaled down when
+the admission cost model's calibrated per-``n log n`` work estimate says
+the query is too light to amortise that many dispatches, and floored by
+``min_shard_points``.  Every serial routing decision carries an explicit
+``reason`` so callers can *count* it (the ``routed_serial`` metric)
+instead of silently falling through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.categories import Category
 from repro.transform.dataset import TransformedDataset
 
 from repro.parallel.config import ParallelConfig
 
 __all__ = ["Shard", "Partition", "TaskPlan", "plan_tasks", "partition_dataset"]
+
+#: Strata-mode eligibility threshold: when one SDC+ stratum holds more
+#: than this fraction of all points, category partitioning cannot
+#: balance and the partitioner falls back to grid mode.
+MAX_STRATUM_SKEW = 0.8
 
 
 @dataclass(frozen=True)
@@ -59,22 +63,22 @@ class Shard:
 
 @dataclass(frozen=True)
 class Partition:
-    """The sharding decision for one dataset."""
+    """The sharding decision for one dataset.
+
+    Shard order always carries the one-directional dominance guarantee
+    (a shard's points can only be dominated from its own or an earlier
+    shard), which the ordered merge relies on.
+    """
 
     shards: tuple[Shard, ...]
     #: ``"strata"``, ``"grid"`` or ``"serial"`` (too small to shard).
     mode: str
-    #: Whether shard order carries the one-directional dominance
-    #: guarantee (earlier shards cannot be dominated by later ones).
-    ordered: bool
     #: Why the partitioner chose this outcome -- always set for serial
     #: routings (``"tiny-data"``, ``"shard-floor"``, ``"single-stratum"``,
     #: ``"strata-collapsed"``, ``"grid-collapsed"``), informational
     #: otherwise (``"skewed-strata"`` for a skew-forced grid, ``None``
     #: for a plain strata/grid split).
     reason: str | None = None
-    #: Worker slots the plan was sized for.
-    slots: int = 0
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -95,10 +99,8 @@ class TaskPlan:
     serial_reason: str | None = None
 
 
-def _serial(reason: str, slots: int = 0) -> Partition:
-    return Partition(
-        shards=(), mode="serial", ordered=True, reason=reason, slots=slots
-    )
+def _serial(reason: str) -> Partition:
+    return Partition(shards=(), mode="serial", reason=reason)
 
 
 def _estimated_work(n: int, dimensions: int, estimator) -> tuple[float, bool]:
@@ -118,23 +120,17 @@ def plan_tasks(
 ) -> TaskPlan:
     """Pick the task count for one dataset under one config.
 
-    Static scheduler: one task per worker slot (legacy behaviour).
-    Steal scheduler: ``slots * tasks_per_worker`` tasks, scaled down to
-    ``estimated_work / min_task_work`` when the cost model predicts the
-    query is light, floored at one task per slot and capped by the
-    ``min_shard_points`` floor.  Fewer than two viable tasks routes the
-    query serial with an explicit reason.
+    ``slots * tasks_per_worker`` tasks, scaled down to ``estimated_work /
+    min_task_work`` when the cost model predicts the query is light,
+    floored at one task per slot and capped by the ``min_shard_points``
+    floor.  Fewer than two viable tasks routes the query serial with an
+    explicit reason.
     """
     n = len(dataset.points)
     slots = config.resolved_workers()
     floor_cap = n // max(1, config.min_shard_points)
     if n == 0 or n < 2 * config.min_shard_points:
         return TaskPlan(slots, 0, 0.0, False, serial_reason="tiny-data")
-    if config.scheduler == "static":
-        tasks = min(slots, floor_cap)
-        if tasks < 2:
-            return TaskPlan(slots, tasks, 0.0, False, serial_reason="shard-floor")
-        return TaskPlan(slots, tasks, 0.0, False)
     work, calibrated = _estimated_work(n, dataset.dimensions, estimator)
     by_work = int(work // config.min_task_work)
     tasks = max(slots, min(slots * config.tasks_per_worker, max(1, by_work)))
@@ -171,14 +167,13 @@ def partition_dataset(
     """Split ``dataset`` into shards per the configured strategy.
 
     ``estimator`` (a :class:`~repro.serving.admission.CostEstimator`, or
-    anything with its ``peak_comparisons`` hook) feeds the steal
-    scheduler's adaptive task sizing; without one the analytic
-    cold-start work bound is used.
+    anything with its ``peak_comparisons`` hook) feeds the adaptive task
+    sizing; without one the analytic cold-start work bound is used.
     """
     n = len(dataset.points)
     plan = plan_tasks(dataset, config, estimator)
     if plan.serial_reason is not None:
-        return _serial(plan.serial_reason, plan.slots)
+        return _serial(plan.serial_reason)
 
     mode = config.mode
     if mode in ("auto", "strata") and dataset.schema.num_partial > 0:
@@ -187,7 +182,7 @@ def partition_dataset(
             # All points share one stratum (e.g. a single-category
             # dataset): category partitioning is impossible.
             return _grid_partition(dataset, plan, reason="single-stratum")
-        if max(len(s) for s in strata) > config.max_stratum_skew * n:
+        if max(len(s) for s in strata) > MAX_STRATUM_SKEW * n:
             return _grid_partition(dataset, plan, reason="skewed-strata")
         return _strata_partition(dataset, strata, plan)
     return _grid_partition(dataset, plan, reason=None)
@@ -212,13 +207,11 @@ def _strata_partition(dataset, strata, plan: TaskPlan) -> Partition:
         shards.append(Shard(index=gi, rows=tuple(rows), labels=tuple(labels)))
     shards = [s for s in shards if s.rows]
     if len(shards) < 2:
-        return _serial("strata-collapsed", plan.slots)
+        return _serial("strata-collapsed")
     shards = tuple(
         Shard(index=i, rows=s.rows, labels=s.labels) for i, s in enumerate(shards)
     )
-    return Partition(
-        shards=shards, mode="strata", ordered=True, reason=None, slots=plan.slots
-    )
+    return Partition(shards=shards, mode="strata")
 
 
 def _grid_partition(dataset, plan: TaskPlan, reason: str | None) -> Partition:
@@ -236,15 +229,7 @@ def _grid_partition(dataset, plan: TaskPlan, reason: str | None) -> Partition:
         )
         cursor += size
     if len(shards) < 2:
-        return _serial("grid-collapsed", plan.slots)
+        return _serial("grid-collapsed")
     # Key rank is one-directional for dominance even with posets:
     # dominance => m-dominance => strictly smaller key.
-    return Partition(
-        shards=tuple(shards), mode="grid", ordered=True, reason=reason,
-        slots=plan.slots,
-    )
-
-
-def shard_categories(dataset, shard: Shard) -> frozenset[Category]:
-    """Categories present in a shard (used by the merge prefilter)."""
-    return frozenset(dataset.points[i].category for i in shard.rows)
+    return Partition(shards=tuple(shards), mode="grid", reason=reason)

@@ -166,10 +166,6 @@ class AttachedPointStore:
             self.pix,
         ) = _map_arrays(self._shm.buf, layout)
 
-    def build_points(self, mappings, start: int, stop: int) -> list[Point]:
-        """Rebuild the points for rows ``order[start:stop]``."""
-        return self.build_rows(mappings, self.order[start:stop].tolist())
-
     def build_rows(self, mappings, rows) -> list[Point]:
         """Rebuild points for explicit **global** row ids.
 
@@ -181,8 +177,7 @@ class AttachedPointStore:
         caller (``zip(points, rows)``), never via the stub rid.  Vectors
         round-trip exactly (float64 in, float64 out), so the
         lazily-derived ``Point.key`` is bit-identical to the parent's.
-        Steal-mode workers call this directly with the rows that
-        survived the filter board.
+        Workers call this with the rows that survived the filter board.
         """
         from repro.core.record import Record
 

@@ -4,29 +4,25 @@ Each pool worker runs :func:`init_worker` exactly once: it unpickles the
 setup blob (schema + domain mappings, pickled **once** in the parent)
 and attaches the shared-memory point store.
 
-Two execution disciplines share that setup:
+The parent then submits one *drain* (:func:`run_steal_drain`) per worker
+slot.  Each drain claims fine-grained tasks from the shared control
+block -- its own home queue front-to-back first, then steals from the
+back of the most-loaded victim -- until the deque is empty.  Before
+(and, in dynamic filter mode, during) each shard scan it prunes rows
+against the cross-shard filter board, rebuilds the surviving points from
+shared array rows, assembles a standalone shard dataset (own counters,
+own kernel, own lazily-built R-trees) and runs the requested algorithm
+locally.  Results -- the emitted **global row ids** plus a counter row
+-- travel back through the control block's shared arrays rather than
+the future's return value, so the parent can merge finished shards
+while the drain is still running.
 
-* **Static** (:func:`run_shard_task`): the parent dispatches one
-  pre-assigned shard per call; the worker rebuilds the shard's points
-  from shared array rows, assembles a standalone shard dataset (own
-  counters, own kernel, own lazily-built R-trees), runs the requested
-  algorithm locally and ships back only the emitted **global row ids**
-  plus a counter snapshot -- a few KB per task regardless of shard size.
-
-* **Work-stealing** (:func:`run_steal_drain`): the parent submits one
-  *drain* per worker slot.  Each drain claims fine-grained tasks from
-  the shared control block -- its own home queue front-to-back first,
-  then steals from the back of the most-loaded victim -- until the deque
-  is empty.  Before (and, in dynamic filter mode, during) each shard
-  scan it prunes rows against the cross-shard filter board, and results
-  travel back through the control block's shared arrays rather than the
-  future's return value, so the parent can merge finished shards while
-  the drain is still running.
-
-The claim lock is a module global installed by the parent **before**
-pool creation: ``multiprocessing`` locks cannot be pickled into
-``initargs``, but a ``fork``-started worker inherits the module state
-as of the fork, lock included.
+Each pool has its own claim lock, handed to the workers through
+:func:`init_worker`: ``multiprocessing`` locks cannot be pickled, but a
+``fork``-started pool passes ``initargs`` to its workers by inheritance.
+A broken pool terminates its surviving workers, possibly one inside a
+claim; the lock that worker leaves held is discarded with its pool
+instead of blocking every pool after it.
 """
 
 from __future__ import annotations
@@ -35,19 +31,11 @@ import os
 import pickle
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.exceptions import QueryTimeoutError
 
-__all__ = [
-    "WorkerSetup",
-    "ShardTask",
-    "ShardOutcome",
-    "init_worker",
-    "run_shard_task",
-    "run_steal_drain",
-    "ensure_claim_lock",
-]
+__all__ = ["WorkerSetup", "init_worker", "run_steal_drain"]
 
 
 @dataclass(frozen=True)
@@ -64,64 +52,26 @@ class WorkerSetup:
     bulk_load: bool
 
 
-@dataclass(frozen=True)
-class ShardTask:
-    """One shard's work order: a slice of the shared ``order`` array."""
-
-    shard_index: int
-    start: int
-    stop: int
-    algorithm: str
-    options: dict = field(default_factory=dict)
-    #: Remaining wall-clock seconds (parent deadline minus setup time).
-    deadline: float | None = None
-    #: Chaos switch: hard-exit the worker on receipt, simulating a crash.
-    kill: bool = False
-
-
-@dataclass(frozen=True)
-class ShardOutcome:
-    """Shard-local skyline as global row ids, plus the counter bill."""
-
-    shard_index: int
-    #: Emitted local-skyline rows in emission order (``None`` on timeout).
-    rows: list[int] | None
-    counters: dict[str, int]
-    status: str  # "ok" | "timeout"
-
-
 # Per-process state installed by the pool initializer.
 _SETUP: WorkerSetup | None = None
 _STORE = None
 #: Caches that survive across tasks in one worker process (batch-kernel
 #: relation memo keyed by nothing -- one dataset per pool).
 _CACHES: dict = {}
-#: Steal-mode claim lock, created parent-side *before* the pool forks
-#: (see module docstring).  One process-wide lock serves every pool a
-#: parent creates -- coarser than strictly necessary (claims across two
-#: executors serialise on it), but it guarantees a late-forked worker of
-#: any pool inherits *the* lock, never a stale one.
+#: This worker's pool claim lock (see module docstring).
 _CLAIM_LOCK = None
 
 
-def ensure_claim_lock():
-    """Parent-side: create (once) the fork-inherited claim lock."""
-    global _CLAIM_LOCK
-    if _CLAIM_LOCK is None:
-        import multiprocessing
-
-        _CLAIM_LOCK = multiprocessing.Lock()
-    return _CLAIM_LOCK
-
-
-def init_worker(setup_blob: bytes, layout) -> None:
-    """Pool initializer: unpickle setup, attach shared memory."""
-    global _SETUP, _STORE
+def init_worker(setup_blob: bytes, layout, claim_lock) -> None:
+    """Pool initializer: unpickle setup, attach shared memory, keep the
+    pool's claim lock."""
+    global _SETUP, _STORE, _CLAIM_LOCK
     from repro.parallel.shard import AttachedPointStore
 
     _SETUP = pickle.loads(setup_blob)
     _STORE = AttachedPointStore(layout)
     _CACHES.clear()
+    _CLAIM_LOCK = claim_lock
 
 
 def _make_shard_dataset(points, stats, context):
@@ -176,45 +126,6 @@ def _make_shard_dataset(points, stats, context):
     return ds
 
 
-def run_shard_task(task: ShardTask) -> ShardOutcome:
-    """Compute one shard's local skyline inside the worker process."""
-    if task.kill:
-        # Deterministic stand-in for a worker crash (chaos harness):
-        # bypass all python-level cleanup, exactly like SIGKILL.
-        os._exit(17)
-
-    from repro.algorithms.base import get_algorithm
-    from repro.core.stats import ComparisonStats
-    from repro.resilience.context import NULL_CONTEXT, QueryContext
-
-    stats = ComparisonStats()
-    if task.deadline is not None:
-        context = QueryContext(deadline=task.deadline)
-        context.start(stats)
-    else:
-        context = NULL_CONTEXT
-
-    shard_rows = _STORE.order[task.start : task.stop].tolist()
-    points = _STORE.build_rows(_SETUP.mappings, shard_rows)
-    # Stub rids are *original* record ids (heap tie-break parity); map
-    # emitted points back to global rows by identity.
-    row_of = {id(p): g for p, g in zip(points, shard_rows)}
-    dataset = _make_shard_dataset(points, stats, context)
-    algorithm = get_algorithm(task.algorithm, **task.options)
-    try:
-        local = list(algorithm.run(dataset))
-    except QueryTimeoutError:
-        return ShardOutcome(task.shard_index, None, stats.snapshot(), "timeout")
-
-    if _SETUP.kernel_name == "numpy" and "relations" not in _CACHES:
-        memo = getattr(dataset.kernel, "_relations", None)
-        if memo is not None:
-            _CACHES["relations"] = memo
-
-    rows = [row_of[id(p)] for p in local]
-    return ShardOutcome(task.shard_index, rows, stats.snapshot(), "ok")
-
-
 def _claim_task(block, slot: int):
     """Claim one task under the inherited lock, stealing when dry.
 
@@ -254,15 +165,15 @@ def _claim_task(block, slot: int):
 def _board_prune(block, rows, stats):
     """Filter one task's rows against the board; returns survivors.
 
-    Rows are scanned in ``filter_chunk``-sized passes; in dynamic filter
-    mode the board is re-read between passes so representatives
-    published by other workers mid-query prune the remainder of this
-    shard too.  Billing goes to the dedicated ``filter_board_*``
+    Rows are scanned in :data:`~repro.parallel.board.FILTER_CHUNK`-sized
+    passes; in dynamic filter mode the board is re-read between passes
+    so representatives published by other workers mid-query prune the
+    remainder of this shard too.  Billing goes to the dedicated ``filter_board_*``
     counters, never to the algorithms' own dominance bill.
     """
     import numpy as np
 
-    from repro.parallel.board import FILTER_MODES, prune_chunk
+    from repro.parallel.board import FILTER_CHUNK, FILTER_MODES, prune_chunk
 
     mode = block.filter_mode
     if mode == FILTER_MODES["off"] or len(rows) == 0:
@@ -270,14 +181,13 @@ def _board_prune(block, rows, stats):
     vectors = _STORE.vectors[rows]
     cats = _STORE.cats[rows]
     alive = np.ones(len(rows), dtype=bool)
-    chunk = max(1, block.filter_chunk)
     rep_vecs, rep_cats = block.read_reps(mode)
-    for lo in range(0, len(rows), chunk):
+    for lo in range(0, len(rows), FILTER_CHUNK):
         if lo and mode == FILTER_MODES["dynamic"]:
             rep_vecs, rep_cats = block.read_reps(mode)
         if not len(rep_vecs):
             continue
-        hi = min(lo + chunk, len(rows))
+        hi = min(lo + FILTER_CHUNK, len(rows))
         checks, hits = prune_chunk(
             vectors[lo:hi], cats[lo:hi], alive[lo:hi], rep_vecs, rep_cats
         )
@@ -314,7 +224,6 @@ def _run_steal_task(block, task_ix: int, algorithm: str, options: dict) -> None:
     )
     from repro.resilience.context import NULL_CONTEXT, QueryContext
 
-    started = time.perf_counter()
     stats = ComparisonStats()
     start, stop = (int(v) for v in block.bounds[task_ix])
     rows = _STORE.order[start:stop]
@@ -322,7 +231,6 @@ def _run_steal_task(block, task_ix: int, algorithm: str, options: dict) -> None:
     remaining = block.remaining_seconds()
     if remaining is not None and remaining <= 0:
         block.write_task_counters(task_ix, stats)
-        block.task_elapsed[task_ix] = time.perf_counter() - started
         block.status[task_ix] = TASK_TIMEOUT
         return
     if remaining is not None:
@@ -344,7 +252,6 @@ def _run_steal_task(block, task_ix: int, algorithm: str, options: dict) -> None:
         local = list(algo.run(dataset))
     except QueryTimeoutError:
         block.write_task_counters(task_ix, stats)
-        block.task_elapsed[task_ix] = time.perf_counter() - started
         block.status[task_ix] = TASK_TIMEOUT
         return
 
@@ -360,7 +267,6 @@ def _run_steal_task(block, task_ix: int, algorithm: str, options: dict) -> None:
     block.result_rows[start : start + count] = [row_of[id(p)] for p in local]
     block.result_count[task_ix] = count
     block.write_task_counters(task_ix, stats)
-    block.task_elapsed[task_ix] = time.perf_counter() - started
     block.status[task_ix] = TASK_OK
 
 

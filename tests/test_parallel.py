@@ -4,7 +4,7 @@ The cross-product parity suite lives in ``test_parallel_parity.py``;
 this file covers the unit-level contracts -- partitioner mode selection,
 the Lemma 4.2 representative prefilter, the ``ComparisonStats``
 double-count guard, the bulk buffer promotion, and the worker-crash /
-deadline / cancellation / budget behaviours of the executor.
+deadline / cancellation / budget / no-fork behaviours of the executor.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ from repro.parallel import (
     IncrementalMerger,
     ParallelConfig,
     ParallelSkylineExecutor,
-    merge_local_skylines,
-    parallel_skyline,
     partition_dataset,
     plan_tasks,
 )
+from repro.parallel.executor import STAGE_KEYS
 from repro.posets.builder import diamond
 from repro.resilience import CancellationToken, QueryContext, ResourceBudget
 from repro.resilience.chaos import FaultInjector
@@ -67,6 +66,14 @@ def _numeric_engine(records, kernel: str = "python") -> SkylineEngine:
     return SkylineEngine(schema, records, kernel=kernel)
 
 
+def _merge_all(dataset, local_skylines, sink=None):
+    """Absorb ``local_skylines`` in shard order through one merger."""
+    merger = IncrementalMerger(dataset, sink=sink)
+    for g, candidates in enumerate(local_skylines):
+        merger.absorb(g, candidates)
+    return merger.outcome()
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -89,17 +96,11 @@ class TestParallelConfig:
         with pytest.raises(ValueError):
             ParallelConfig(mode="hash")
         with pytest.raises(ValueError):
-            ParallelConfig(scheduler="fifo")
-        with pytest.raises(ValueError):
             ParallelConfig(filter="maybe")
         with pytest.raises(ValueError):
             ParallelConfig(tasks_per_worker=0)
         with pytest.raises(ValueError):
             ParallelConfig(min_task_work=0)
-        with pytest.raises(ValueError):
-            ParallelConfig(board_reps=1)
-        with pytest.raises(ValueError):
-            ParallelConfig(filter_chunk=0)
 
     def test_default_workers_resolve_to_cpu_count(self):
         import os
@@ -131,7 +132,7 @@ class TestPartition:
         assert partition.mode == "serial"
         assert partition.reason == "shard-floor"
         partition = partition_dataset(
-            engine.dataset, ParallelConfig(workers=1, scheduler="static")
+            engine.dataset, ParallelConfig(workers=1, tasks_per_worker=1)
         )
         assert partition.mode == "serial"
         assert partition.reason == "shard-floor"
@@ -185,12 +186,15 @@ class TestPartition:
         assert plan.calibrated
         assert plan.estimated_comparisons > 0
 
-    def test_static_scheduler_keeps_one_task_per_worker(self):
+    def test_one_task_per_worker_plan(self):
+        # tasks_per_worker=1 keeps one task per slot even when the work
+        # estimate would justify more (the comparison baseline's plan).
         engine = _poset_engine(n=300)
-        partition = partition_dataset(
-            engine.dataset, ParallelConfig(workers=4, scheduler="static")
+        config = ParallelConfig(
+            workers=4, tasks_per_worker=1, min_task_work=1.0, mode="grid"
         )
-        assert len(partition.shards) <= 4
+        assert plan_tasks(engine.dataset, config).tasks == 4
+        assert len(partition_dataset(engine.dataset, config).shards) == 4
 
     def test_strata_are_never_split(self):
         # Fine-grained steal tasks must respect stratum boundaries --
@@ -217,7 +221,6 @@ class TestPartition:
         engine = _poset_engine(n=300)
         partition = partition_dataset(engine.dataset, ParallelConfig(workers=4))
         assert partition.mode == "strata"
-        assert partition.ordered
         assert len(partition.shards) >= 2
         # every row exactly once
         rows = [r for s in partition.shards for r in s.rows]
@@ -236,7 +239,6 @@ class TestPartition:
         engine = SkylineEngine(schema, records)
         partition = partition_dataset(engine.dataset, ParallelConfig(workers=2))
         assert partition.mode == "grid"
-        assert partition.ordered
 
     def test_numeric_only_schema_uses_grid_even_when_strata_forced(self):
         rng = random.Random(9)
@@ -276,7 +278,7 @@ class TestMerge:
         ]
         engine = _numeric_engine(records, kernel=kernel)
         points = engine.dataset.points
-        outcome = merge_local_skylines(engine.dataset, [[], [points[0]], []])
+        outcome = _merge_all(engine.dataset, [[], [points[0]], []])
         assert outcome.points == [points[0]]
         assert outcome.eliminated == ()
 
@@ -284,16 +286,16 @@ class TestMerge:
     def test_prefilter_eliminates_dominated_shard(self, kernel):
         # One best point plus strictly worse filler: the later shard's
         # entire local skyline is knocked out by shard 0's representative
-        # (static scheduler -- merge-time prefilter; under steal mode
-        # the filter board usually empties the shard *before* merge,
-        # covered by TestFilterBoard).
+        # at merge time.  The board is off: with it on, it empties the
+        # shard *before* merge (covered by TestFilterBoard).
         rng = random.Random(11)
         records = [Record(0, (0, 0))] + [
             Record(i, (rng.randint(5, 40), rng.randint(5, 40))) for i in range(1, 33)
         ]
         engine = _numeric_engine(records, kernel=kernel)
         config = ParallelConfig(
-            workers=2, min_shard_points=8, mode="grid", scheduler="static"
+            workers=2, min_shard_points=8, mode="grid", tasks_per_worker=1,
+            filter="off",
         )
         with ParallelSkylineExecutor(engine.dataset, config) as executor:
             result = executor.run("bnl")
@@ -303,34 +305,42 @@ class TestMerge:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_incremental_merger_matches_one_shot(self, kernel):
+        from repro.reference import reference_dominates
+
         engine = _poset_engine(n=200, kernel=kernel)
         partition = partition_dataset(
             engine.dataset, ParallelConfig(workers=4, min_shard_points=8)
         )
         assert len(partition.shards) >= 2
         points = engine.dataset.points
+        schema = engine.dataset.schema
         # Stand-in local skylines: every shard's raw rows (mutually
         # dominated rows make the merge do real elimination work).
         locals_ = [
             [points[r] for r in shard.rows] for shard in partition.shards
         ]
-        one_stats = ComparisonStats()
-        one_shot = merge_local_skylines(
-            engine.dataset.query_view(stats=one_stats), locals_
-        )
-        inc_stats = ComparisonStats()
+        # One-shot oracle of the ordered merge: a shard's candidate
+        # survives unless an earlier shard's survivor dominates it.
+        expected: list = []
+        for candidates in locals_:
+            earlier = list(expected)
+            expected.extend(
+                p for p in candidates
+                if not any(
+                    reference_dominates(schema, q.record, p.record)
+                    for q in earlier
+                )
+            )
         sink: list = []
         merger = IncrementalMerger(
-            engine.dataset.query_view(stats=inc_stats), sink=sink
+            engine.dataset.query_view(stats=ComparisonStats()), sink=sink
         )
-        for g, candidates in enumerate(locals_):
-            merger.absorb(g, candidates)
+        batches = [merger.absorb(g, c) for g, c in enumerate(locals_)]
         incremental = merger.outcome()
         assert [p.record.rid for p in incremental.points] == [
-            p.record.rid for p in one_shot.points
+            p.record.rid for p in expected
         ]
-        assert incremental.eliminated == one_shot.eliminated
-        assert inc_stats.snapshot() == one_stats.snapshot()
+        assert [p for batch in batches for p in batch] == incremental.points
         assert sink == incremental.points
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -343,9 +353,7 @@ class TestMerge:
         ]
         engine = _numeric_engine(records, kernel=kernel)
         points = engine.dataset.points
-        outcome = merge_local_skylines(
-            engine.dataset, [[points[0]], [points[1]]]
-        )
+        outcome = _merge_all(engine.dataset, [[points[0]], [points[1]]])
         assert outcome.eliminated == ()
         assert {p.record.rid for p in outcome.points} == {0, 1}
 
@@ -404,7 +412,10 @@ class TestBufferExtend:
 class TestExecutor:
     def test_empty_dataset(self):
         engine = _numeric_engine([])
-        result = parallel_skyline(engine.dataset, "bnl", ParallelConfig(workers=2))
+        with ParallelSkylineExecutor(
+            engine.dataset, ParallelConfig(workers=2)
+        ) as executor:
+            result = executor.run("bnl")
         assert result.points == []
         assert result.mode == "serial"
         assert not result.parallel
@@ -511,9 +522,30 @@ class TestExecutor:
         assert result.routed_serial
         assert result.routed_reason == "budget"
 
-    def test_stage_timings_and_steal_accounting(self):
-        from repro.parallel.executor import STAGE_KEYS
+    def test_no_fork_routes_serial(self, monkeypatch):
+        import multiprocessing
 
+        engine = _poset_engine(n=300)
+        reference = [p.record.rid for p in engine.run_points("sdc+")]
+        real_get_context = multiprocessing.get_context
+
+        def get_context(method=None):
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return real_get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        with ParallelSkylineExecutor(
+            engine.dataset, ParallelConfig(workers=2)
+        ) as executor:
+            result = executor.run("sdc+", stats=ComparisonStats())
+        assert not result.parallel
+        assert result.routed_serial
+        assert result.routed_reason == "no-fork"
+        assert not result.fallback
+        assert [p.record.rid for p in result.points] == reference
+
+    def test_stage_timings_and_steal_accounting(self):
         engine = _poset_engine(n=300)
         config = ParallelConfig(
             workers=2, min_shard_points=16, min_task_work=1.0, mode="grid"
@@ -521,13 +553,26 @@ class TestExecutor:
         with ParallelSkylineExecutor(engine.dataset, config) as executor:
             result = executor.run("sdc+", stats=ComparisonStats())
         assert result.parallel
-        assert result.scheduler == "steal"
         assert result.tasks == len(result.shard_sizes)
         assert result.tasks > result.workers
         assert result.steals >= 0
         assert set(result.stage_seconds) == set(STAGE_KEYS)
         assert all(v >= 0.0 for v in result.stage_seconds.values())
         assert result.stage_seconds["compute"] > 0.0
+
+    def test_warm_executor_bills_partition_once(self):
+        # The partition is computed once and cached: only the query
+        # that computed it pays for it.
+        engine = _poset_engine(n=300)
+        with ParallelSkylineExecutor(
+            engine.dataset, ParallelConfig(workers=2)
+        ) as executor:
+            first = executor.run("sdc+", stats=ComparisonStats())
+            second = executor.run("sdc+", stats=ComparisonStats())
+        assert first.parallel and second.parallel
+        assert first.stage_seconds["partition"] > 0.0
+        assert second.stage_seconds["partition"] == 0.0
+        assert second.stage_seconds["board_seed"] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +595,6 @@ class TestFilterBoard:
         with ParallelSkylineExecutor(engine.dataset, config) as executor:
             result = executor.run("bnl", stats=ComparisonStats())
         assert result.parallel
-        assert result.scheduler == "steal"
         assert [p.record.rid for p in result.points] == [0]
         assert result.filter_board_checks > 0
         # Everything except the best point is strictly dominated by it,
@@ -645,14 +689,22 @@ class TestWorkerCrash:
         assert not result.parallel
         assert [p.record.rid for p in result.points] == reference
 
-    def test_crash_without_fallback_raises(self):
+    def test_rebuilt_pool_gets_a_fresh_claim_lock(self):
+        # A broken pool terminates its surviving workers, possibly one
+        # holding the claim lock; that lock must not outlive its pool.
         engine = _poset_engine(n=300)
-        chaos = FaultInjector(seed=7, rate=1.0, max_faults=1)
-        config = ParallelConfig(workers=2, chaos=chaos, fallback=False)
-        with ParallelSkylineExecutor(engine.dataset, config) as executor:
-            with pytest.raises(Exception) as info:
-                executor.run("sdc+", stats=ComparisonStats())
-        assert not isinstance(info.value, (QueryTimeoutError, QueryCancelledError))
+        with ParallelSkylineExecutor(
+            engine.dataset, ParallelConfig(workers=2)
+        ) as executor:
+            executor.run("sdc+", stats=ComparisonStats())
+            executor._claim_lock.acquire()  # left held by a killed worker
+            executor.invalidate()
+            result = executor.run(
+                "sdc+",
+                stats=ComparisonStats(),
+                context=QueryContext(deadline=30.0),
+            )
+        assert result.parallel
 
     def test_executor_recovers_after_fallback(self):
         engine = _poset_engine(n=300)
@@ -780,9 +832,7 @@ class TestServerIntegration:
             assert snap["tasks"] > 2
             assert snap["steals"] >= 0
             assert snap["filter_board_checks"] > 0
-            assert set(snap["stage_seconds"]) == {
-                "partition", "pool_setup", "compute", "steal_wait", "merge"
-            }
+            assert set(snap["stage_seconds"]) == set(STAGE_KEYS)
         finally:
             server.close()
 

@@ -7,13 +7,13 @@ Contract asserted here:
 
 * the merged answer *set* is identical to the serial engine's for all
   eight algorithms, both dominance backends, 2/4/8 workers and both
-  schedulers (legacy ``static`` one-shot and adaptive ``steal``);
+  task plans in :data:`PLANS`;
 * under strata partitioning, ``sdc+`` additionally reproduces the exact
   serial emission *order* (shard order x local order = stratum order);
 * the aggregate :class:`~repro.core.stats.ComparisonStats` bill equals
   the exact sum of the worker/task snapshots plus the merge-phase
-  bundle, and is deterministic run-to-run with a ``"static"`` filter
-  board (parent-seeded representatives only);
+  bundle, and is deterministic run-to-run with the board off or
+  ``"static"`` (parent-seeded representatives only);
 * a seeded chaos fault killing one worker mid-steal degrades to the
   serial engine with a *bit-identical* answer sequence.
 """
@@ -41,6 +41,15 @@ ALL_ALGORITHMS = ("bnl", "bnl+", "sfs", "bbs+", "sdc", "sdc+", "nn+", "dnc")
 KERNELS = ("python", "numpy")
 WORKER_COUNTS = (2, 4, 8)
 _N = 240
+
+#: Task plans under test, keyed by test id.  ``"static"``: one task per
+#: worker slot with the filter board off -- the plain partition/merge
+#: the comparison benchmark's baseline runs.  ``"steal"``: the default
+#: over-partitioned plan with the dynamic board.
+PLANS = {
+    "static": {"tasks_per_worker": 1, "filter": "off"},
+    "steal": {},
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,31 +88,30 @@ def _summed(worker_counters, merge_counters) -> dict[str, int]:
     return {k: v for k, v in out.items() if v}
 
 
-@pytest.mark.parametrize("scheduler", ("static", "steal"))
+@pytest.mark.parametrize("plan", tuple(PLANS))
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_parity_all_algorithms(kernel, seed, workers, scheduler):
+def test_parity_all_algorithms(kernel, seed, workers, plan):
     engine = _engine(kernel, seed)
-    config = ParallelConfig(workers=workers, scheduler=scheduler)
+    config = ParallelConfig(workers=workers, **PLANS[plan])
     with ParallelSkylineExecutor(engine.dataset, config) as executor:
         assert executor.partition.mode == "strata"
         for algorithm in ALL_ALGORITHMS:
             reference = _serial_reference(kernel, seed, algorithm)
             stats = ComparisonStats()
             result = executor.run(algorithm, stats=stats)
-            assert result.parallel, (algorithm, workers, scheduler)
-            assert result.scheduler == executor.effective_scheduler()
+            assert result.parallel, (algorithm, workers, plan)
             rids = [p.record.rid for p in result.points]
             assert set(rids) == set(reference), (
-                algorithm, kernel, seed, workers, scheduler,
+                algorithm, kernel, seed, workers, plan,
             )
             assert len(rids) == len(reference)
             # exact aggregate = sum of worker/task snapshots + merge bundle
             aggregate = {k: v for k, v in result.counters.items() if v}
             assert aggregate == _summed(
                 result.worker_counters, result.merge_counters
-            ), (algorithm, kernel, seed, workers, scheduler)
+            ), (algorithm, kernel, seed, workers, plan)
             assert stats.snapshot() == result.counters
 
 
@@ -133,13 +141,13 @@ def test_grid_mode_parity(seed):
             assert {p.record.rid for p in result.points} == set(reference)
 
 
-@pytest.mark.parametrize("scheduler", ("static", "steal"))
+@pytest.mark.parametrize("plan", tuple(PLANS))
 @pytest.mark.parametrize("seed", SEEDS)
-def test_counters_deterministic_across_runs(seed, scheduler):
-    # ``filter="static"`` pins the board to parent-seeded representatives,
-    # so steal-mode counters cannot depend on claim timing.
+def test_counters_deterministic_across_runs(seed, plan):
+    # ``filter="static"`` pins the board to parent-seeded representatives
+    # (and "off" has none), so counters cannot depend on claim timing.
     engine = _engine("python", seed)
-    config = ParallelConfig(workers=4, scheduler=scheduler, filter="static")
+    config = ParallelConfig(workers=4, **({"filter": "static"} | PLANS[plan]))
     with ParallelSkylineExecutor(engine.dataset, config) as executor:
         first = executor.run("sdc+", stats=ComparisonStats())
         second = executor.run("sdc+", stats=ComparisonStats())
@@ -165,7 +173,6 @@ def test_chaos_kill_mid_steal_falls_back_bit_identical(kernel, seed):
     chaos = FaultInjector(seed=seed, rate=1.0, max_faults=1)
     config = ParallelConfig(
         workers=2,
-        scheduler="steal",
         tasks_per_worker=4,
         min_task_work=1.0,
         min_shard_points=16,
