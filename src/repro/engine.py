@@ -124,7 +124,8 @@ class SkylineEngine:
         :meth:`parallel_executor`\\ 's ``run``.  Counters billed are the
         aggregate of all tasks plus the merge phase.  For repeated
         parallel queries prefer :meth:`parallel_executor`, which reuses
-        the pool and the shared-memory point store across calls.
+        the pool, the workers' shard indexes and its route measurements
+        across calls.
         """
         if parallel is not None:
             from repro.parallel import ParallelSkylineExecutor
@@ -144,8 +145,7 @@ class SkylineEngine:
     ) -> "ParallelSkylineExecutor":
         """A reusable sharded-execution backend over this dataset.
 
-        Use as a context manager (it owns a process pool and a
-        shared-memory segment)::
+        Use as a context manager (it owns a process pool)::
 
             with engine.parallel_executor(4) as pex:
                 for algo in ("sdc+", "bbs+"):

@@ -2,12 +2,14 @@
 
 Partitions a :class:`~repro.transform.dataset.TransformedDataset` by
 SDC+ category strata (grid fallback on the monotone transformed key)
-into fine-grained tasks sized by the admission cost model, ships the
-points once through ``multiprocessing.shared_memory``, drains the tasks
-through a work-stealing process pool with a cross-shard filter board
-(Lemma 4.2 representatives prune other workers' shards *during*
-compute), and merges finished shards incrementally with the paper's
-Lemma 4.1 restriction checks.  Entry points::
+into fine-grained tasks sized by the admission cost model, drains the
+tasks through a work-stealing ``fork`` process pool whose workers
+inherit the dataset and keep each task's shard index for the life of
+the pool, prunes with a cross-shard filter board (Lemma 4.2
+representatives prune other workers' shards *during* compute), and
+merges finished shards incrementally with the paper's Lemma 4.1
+restriction checks.  Each algorithm's route -- sharded or serial -- is
+chosen from measured costs of both.  Entry points::
 
     engine.run("sdc+", parallel=ParallelConfig(workers=4))
     engine.parallel_executor(4)                   # reusable executor

@@ -1,13 +1,13 @@
 """Shared-memory control block: task deque, steal ledger, filter board.
 
-One :class:`ControlBlock` is created per *query* (the point arrays live
-in the per-executor :class:`~repro.parallel.shard.SharedPointStore`; this
-segment carries only coordination state).  It packs three things into a
-single ``multiprocessing.shared_memory`` segment:
+One :class:`ControlBlock` is created per *query* (the points themselves
+reach the workers by fork inheritance, see :mod:`repro.parallel.worker`;
+this segment carries only coordination state).  It packs three things
+into a single ``multiprocessing.shared_memory`` segment:
 
-**Task deque.**  Every task is a ``[start, stop)`` slice of the store's
-``order`` array plus a *home slot* (contiguous blocks of tasks are
-pre-assigned to worker slots).  Workers claim their own queue
+**Task deque.**  Every task is a ``[start, stop)`` slice of the pool's
+shard-major row ``order`` array plus a *home slot* (contiguous blocks
+of tasks are pre-assigned to worker slots).  Workers claim their own queue
 front-to-back and, when it drains, steal from the back of the victim
 with the most unclaimed work -- the classic work-stealing discipline,
 serialised by one ``fork``-inherited lock (claims are rare and coarse).
@@ -50,6 +50,8 @@ from repro.core.categories import Category, is_bold
 from repro.core.stats import ComparisonStats
 
 __all__ = [
+    "CATEGORY_CODES",
+    "CATEGORY_BY_CODE",
     "STAT_FIELDS",
     "BOLD_MATRIX",
     "FILTER_MODES",
@@ -64,11 +66,15 @@ __all__ = [
     "TASK_TIMEOUT",
 ]
 
+#: Stable category <-> uint8 code mapping (enum definition order).
+CATEGORY_CODES: dict[Category, int] = {cat: i for i, cat in enumerate(Category)}
+CATEGORY_BY_CODE: tuple[Category, ...] = tuple(Category)
+
 #: Canonical counter-vector order shipped through the control block.
 STAT_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(ComparisonStats))
 
 #: ``BOLD_MATRIX[src_code, dst_code]`` -- Lemma 4.2 bold edges over the
-#: stable category codes of :mod:`repro.parallel.shard`.
+#: stable :data:`CATEGORY_CODES`.
 BOLD_MATRIX: np.ndarray = np.array(
     [[is_bold(src, dst) for dst in Category] for src in Category], dtype=bool
 )
@@ -197,7 +203,7 @@ class ControlBlock:
         """Parent-side: allocate and initialise the segment.
 
         ``shards`` is the ordered shard tuple from the partition; task
-        ``i`` covers rows ``[start_i, stop_i)`` of the store's ``order``
+        ``i`` covers rows ``[start_i, stop_i)`` of the pool's ``order``
         array, and homes are assigned as contiguous blocks over the
         ``slots`` worker slots.
         """
@@ -355,8 +361,6 @@ def static_representatives(points, rows) -> list[tuple[int, tuple[float, ...]]]:
     works as an eliminator), but the min-key point *is* a local-skyline
     member, which makes it the strongest single filter the task owns.
     """
-    from repro.parallel.shard import CATEGORY_CODES
-
     best = min(rows, key=lambda i: (points[i].key, i))
     reps = [(CATEGORY_CODES[points[best].category], points[best].vector)]
     covering = [i for i in rows if points[i].category.completely_covering]

@@ -1,10 +1,25 @@
 """Process-pool skyline execution: partition, fan out, steal, merge.
 
-:class:`ParallelSkylineExecutor` owns the sharding decision, the
-shared-memory point store and a persistent worker pool over one
+:class:`ParallelSkylineExecutor` owns the sharding decision, the route
+choice and a persistent ``fork``-started worker pool over one
 :class:`~repro.transform.dataset.TransformedDataset`.  One executor
 serves many queries (the serving layer keeps one per server); everything
 is built lazily on the first :meth:`run` and torn down by :meth:`close`.
+Workers inherit the dataset by fork and keep each task's shard base
+(points, R-tree, strata) for the life of the pool
+(:mod:`repro.parallel.worker`).
+
+Sharding does not win for every algorithm -- shard-local index
+traversals lose the global R-tree's pruning -- so each full-space query
+picks its route from measurements in the executor's
+:class:`~repro.serving.admission.CostEstimator`.  Complete serial runs
+calibrate the algorithm's profile; warm sharded runs calibrate its
+``<algorithm>|sharded`` profile.  The first sharded run of an algorithm
+on each pool pays for the pool start, the partition and the shard
+builds, so it is not recorded.  A query shards until the sharded profile
+has a sample, then runs serial once (``routed_reason="calibrating"``)
+when the serial profile has none, and from then on routes serial
+(``"cost"``) whenever the serial estimate is faster.
 
 A sharded query over-partitions into fine-grained tasks (about
 :attr:`~repro.parallel.config.ParallelConfig.tasks_per_worker` per slot),
@@ -42,7 +57,8 @@ Execution contract (asserted by the parity suite):
   *resource budget* run serially: budget truncation is defined on the
   serial emission prefix, which a fan-out cannot reproduce.  Every
   serial routing is explicit -- :attr:`ParallelResult.routed_serial`
-  plus a reason, surfaced as the server's ``routed_serial`` metric --
+  plus a reason (including the route choice's ``"calibrating"`` and
+  ``"cost"``), surfaced as the server's ``routed_serial`` metric --
   instead of a silent fall-through.  Platforms without the ``fork``
   start method route serial (``"no-fork"``): drains inherit the claim
   lock by fork.
@@ -52,13 +68,15 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import pickle
 import threading
 import time
 import warnings
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator
+
+import numpy as np
 
 from repro.core.stats import ComparisonStats
 from repro.exceptions import (
@@ -69,6 +87,7 @@ from repro.exceptions import (
     ResilienceError,
 )
 from repro.parallel.board import (
+    CATEGORY_CODES,
     REP_DYNAMIC,
     TASK_PENDING,
     TASK_TIMEOUT,
@@ -78,8 +97,7 @@ from repro.parallel.board import (
 from repro.parallel.config import ParallelConfig
 from repro.parallel.merge import IncrementalMerger
 from repro.parallel.partition import Partition, partition_dataset
-from repro.parallel.shard import SharedPointStore
-from repro.parallel.worker import WorkerSetup, init_worker, run_steal_drain
+from repro.parallel.worker import init_worker, run_steal_drain
 from repro.resilience.context import QueryContext
 from repro.resilience.executor import PartialResult, execute
 
@@ -134,7 +152,8 @@ class ParallelResult:
     steals: int = 0
     #: ``True`` when the query was *deliberately* routed to the serial
     #: path (tiny data, shard floor, collapsed partition, budget, no
-    #: fork) -- distinct from :attr:`fallback`, which is a crash recovery.
+    #: fork, route choice) -- distinct from :attr:`fallback`, which is a
+    #: crash recovery.
     routed_serial: bool = False
     routed_reason: str | None = None
     #: Wall-clock breakdown over :data:`STAGE_KEYS`.  ``partition`` is
@@ -188,6 +207,27 @@ def _fork_context():
         return None
 
 
+def _worker_arrays(dataset: "TransformedDataset", partition: Partition):
+    """What workers get besides the dataset, built once per pool.
+
+    The filter board's ``(n, d)`` vectors and per-row category codes
+    (indexed by global row), and the shard-major row order whose
+    ``[start, stop)`` slices are the tasks.
+    """
+    points = dataset.points
+    vectors = np.array([p.vector for p in points], dtype=np.float64)
+    cats = np.fromiter(
+        (CATEGORY_CODES[p.category] for p in points),
+        dtype=np.uint8,
+        count=len(points),
+    )
+    order = np.fromiter(
+        chain.from_iterable(shard.rows for shard in partition.shards),
+        dtype=np.int64,
+    )
+    return vectors.reshape(len(points), dataset.dimensions), cats, order
+
+
 def _stage_dict(**values: float) -> dict[str, float]:
     return {key: float(values.get(key, 0.0)) for key in STAGE_KEYS}
 
@@ -201,21 +241,29 @@ class ParallelSkylineExecutor:
         config: ParallelConfig | int | None = None,
         estimator=None,
     ) -> None:
+        from repro.serving.admission import CostEstimator
+
         self.dataset = dataset
         self.config = ParallelConfig.coerce(config) or ParallelConfig()
-        #: Optional :class:`~repro.serving.admission.CostEstimator`
-        #: feeding the adaptive task sizing (the serving layer wires in
-        #: the admission controller's calibrated estimator).
-        self.estimator = estimator
+        #: The :class:`~repro.serving.admission.CostEstimator` feeding the
+        #: adaptive task sizing and the route choice (the serving layer
+        #: wires in the admission controller's; a private one otherwise).
+        self.estimator = estimator if estimator is not None else CostEstimator()
         self._partition: Partition | None = None
-        self._store: SharedPointStore | None = None
+        #: ``(partition, per-task static filter-board seeds)``.
+        self._seeds: tuple[Partition, list] | None = None
         self._pool: ProcessPoolExecutor | None = None
+        #: The partition the current pool's row order was built from.
+        self._pool_partition: Partition | None = None
         #: The current pool's claim lock (one per pool, see
         #: :mod:`repro.parallel.worker`).
         self._claim_lock = None
+        #: Algorithms that have run sharded on the current pool: their
+        #: next sharded run is warm and calibrates the sharded profile.
+        self._warm: set[str] = set()
         self._closed = False
         # Serving runs concurrent queries through one executor; setup and
-        # teardown must not interleave (a lost race leaks a shm segment).
+        # teardown must not interleave (a lost race leaks a pool).
         self._setup_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -234,70 +282,88 @@ class ParallelSkylineExecutor:
             )
         return self._partition
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def _board_seeds(self, partition: Partition) -> list:
+        """Each task's static board representatives (once per partition)."""
+        with self._setup_lock:
+            if self._seeds is None or self._seeds[0] is not partition:
+                points = self.dataset.points
+                self._seeds = (
+                    partition,
+                    [
+                        static_representatives(points, shard.rows)
+                        for shard in partition.shards
+                    ],
+                )
+            return self._seeds[1]
+
+    def _ensure_pool(self) -> tuple[ProcessPoolExecutor, Partition]:
+        """The pool and the partition its workers' row order follows.
+
+        A query runs on this partition, not on the one it was routed
+        with: a concurrent pool failure may have re-partitioned since.
+        """
         with self._setup_lock:
             if self._pool is not None:
-                return self._pool
-            dataset = self.dataset
-            partition = self.partition
-            if self._store is None:
-                order: list[int] = []
-                for shard in partition.shards:
-                    order.extend(shard.rows)
-                self._store = SharedPointStore(
-                    dataset.points,
-                    dataset.dimensions,
-                    dataset.schema.num_partial,
-                    order,
-                )
-            base_kernel = getattr(dataset.kernel, "wrapped", dataset.kernel)
-            setup_blob = pickle.dumps(
-                WorkerSetup(
-                    schema=dataset.schema,
-                    mappings=dataset.mappings,
-                    strategy=dataset.strategy,
-                    native_mode=dataset.native_mode,
-                    kernel_name=dataset.kernel_name,
-                    faithful_gate=base_kernel.faithful_gate,
-                    max_entries=dataset.max_entries,
-                    bulk_load=dataset.bulk_load,
-                )
-            )
+                return self._pool, self._pool_partition
+            partition = self._pool_partition = self.partition
             ctx = _fork_context()
             self._claim_lock = ctx.Lock()
+            # Fork hands the initargs to the workers by inheritance: the
+            # dataset and its arrays are never pickled.
             self._pool = ProcessPoolExecutor(
                 max_workers=min(
                     self.config.resolved_workers(), len(partition.shards)
                 ),
                 mp_context=ctx,
                 initializer=init_worker,
-                initargs=(setup_blob, self._store.layout, self._claim_lock),
+                initargs=(
+                    self.dataset,
+                    *_worker_arrays(self.dataset, partition),
+                    self._claim_lock,
+                ),
             )
-            return self._pool
+            return self._pool, partition
 
     def invalidate(self) -> None:
-        """Drop shards/store/pool so the next run re-shards.
+        """Drop the partition and pool so the next run re-shards.
 
         Callers mutating the dataset (insert/delete) must invalidate --
-        the shared-memory arrays are a snapshot of the points at pack
-        time.  The serving layer does this under its writer lock.
+        the workers hold the dataset as it was when the pool forked.
+        The serving layer does this under its writer lock.  Route
+        samples stay in the estimator; the warm set goes with the pool.
         """
         self._teardown()
 
     def _teardown(self) -> None:
         with self._setup_lock:
             pool, self._pool = self._pool, None
-            store, self._store = self._store, None
-            self._partition = None
+            self._partition = self._pool_partition = None
+            self._seeds = None
+            self._warm.clear()
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-        if store is not None:
-            store.close()
 
     def close(self) -> None:
-        """Shut the pool down and unlink the shared-memory segment."""
+        """Shut the pool down."""
         self._teardown()
         self._closed = True
+
+    def _serial_route(self, algorithm: str) -> str | None:
+        """Why a shardable query should run serial, or ``None`` to shard.
+
+        Shards until the sharded profile has a sample, then calibrates
+        the serial profile once, then takes the faster estimate.
+        """
+        estimator = self.estimator
+        sharded = f"{algorithm}|sharded"
+        if not estimator.profile_samples(sharded):
+            return None
+        if not estimator.profile_samples(algorithm):
+            return "calibrating"
+        n, d = len(self.dataset), self.dataset.dimensions
+        serial_s = estimator.estimate(algorithm, n, d).seconds
+        sharded_s = estimator.estimate(sharded, n, d).seconds
+        return "cost" if serial_s < sharded_s else None
 
     # ------------------------------------------------------------------
     def run(
@@ -335,7 +401,7 @@ class ParallelSkylineExecutor:
         elif _fork_context() is None:
             routed_reason = "no-fork"
         else:
-            routed_reason = None
+            routed_reason = self._serial_route(algorithm)
         if routed_reason is not None:
             return self._run_serial(
                 algorithm,
@@ -357,7 +423,6 @@ class ParallelSkylineExecutor:
                 sink,
                 options,
                 started,
-                partition,
                 partition_seconds,
             )
         except ResilienceError:
@@ -412,13 +477,22 @@ class ParallelSkylineExecutor:
     ) -> ParallelResult:
         view = self.dataset.query_view(stats=target)
         before = target.snapshot()
+        serial_started = time.perf_counter()
         result = execute(view, algorithm, context, sink=sink, **options)
+        counters = target.diff(before)
+        if result.complete:
+            self.estimator.observe(
+                algorithm,
+                len(self.dataset),
+                counters,
+                time.perf_counter() - serial_started,
+            )
         return ParallelResult(
             points=result.points,
             algorithm=result.algorithm,
             elapsed=time.perf_counter() - started,
             mode=mode,
-            counters=target.diff(before),
+            counters=counters,
             fallback=fallback_reason is not None,
             fallback_reason=fallback_reason,
             routed_serial=routed_reason is not None,
@@ -434,13 +508,12 @@ class ParallelSkylineExecutor:
         sink,
         options: dict,
         started: float,
-        partition: Partition,
         partition_seconds: float,
     ) -> ParallelResult:
         dataset = self.dataset
         config = self.config
         setup_started = time.perf_counter()
-        pool = self._ensure_pool()
+        pool, partition = self._ensure_pool()
         pool_setup = time.perf_counter() - setup_started
         n_tasks = len(partition.shards)
         slots = min(config.resolved_workers(), n_tasks)
@@ -466,11 +539,9 @@ class ParallelSkylineExecutor:
                 # Deterministic parent-side board seed: every task gets
                 # its static representatives *before* any worker starts,
                 # so static-filter counters are claim-order independent.
-                for shard in partition.shards:
-                    block.seed_static_reps(
-                        shard.index,
-                        static_representatives(dataset.points, shard.rows),
-                    )
+                seeds = self._board_seeds(partition)
+                for shard, reps in zip(partition.shards, seeds):
+                    block.seed_static_reps(shard.index, reps)
             chaos = config.chaos
             if chaos is not None:
                 for shard in partition.shards:
@@ -570,7 +641,7 @@ class ParallelSkylineExecutor:
                 target.add_snapshot(snapshot)
             target.merge(merge_stats)
 
-            return ParallelResult(
+            result = ParallelResult(
                 points=merged.points,
                 algorithm=algorithm,
                 elapsed=time.perf_counter() - started,
@@ -598,6 +669,16 @@ class ParallelSkylineExecutor:
             )
         finally:
             block.close()
+        # The first sharded run of an algorithm on a pool paid for the
+        # pool start, the partition and the shard builds: not a sample.
+        if algorithm in self._warm:
+            self.estimator.observe(
+                f"{algorithm}|sharded", len(dataset), result.counters,
+                result.elapsed,
+            )
+        else:
+            self._warm.add(algorithm)
+        return result
 
 
 def _remaining_context(context: QueryContext | None) -> QueryContext | None:

@@ -1,20 +1,26 @@
 """Worker-process side of the sharded skyline executor.
 
-Each pool worker runs :func:`init_worker` exactly once: it unpickles the
-setup blob (schema + domain mappings, pickled **once** in the parent)
-and attaches the shared-memory point store.
+The pool always forks, so every worker already holds the parent's
+dataset.  :func:`init_worker` runs once per worker process and keeps
+what the parent hands it through the fork-inherited pool ``initargs``
+(nothing is pickled): the dataset, the filter board's ``(n, d)`` vector
+and per-row category arrays (built once per pool), the shard-major row
+order, and the pool's claim lock.
 
 The parent then submits one *drain* (:func:`run_steal_drain`) per worker
 slot.  Each drain claims fine-grained tasks from the shared control
 block -- its own home queue front-to-back first, then steals from the
 back of the most-loaded victim -- until the deque is empty.  Before
-(and, in dynamic filter mode, during) each shard scan it prunes rows
-against the cross-shard filter board, rebuilds the surviving points from
-shared array rows, assembles a standalone shard dataset (own counters,
-own kernel, own lazily-built R-trees) and runs the requested algorithm
-locally.  Results -- the emitted **global row ids** plus a counter row
--- travel back through the control block's shared arrays rather than
-the future's return value, so the parent can merge finished shards
+(and, in dynamic filter mode, during) each shard scan it prunes the
+task's rows against the cross-shard filter board, then runs the
+requested algorithm on a per-query view of the task's **shard base**: a
+:meth:`~repro.transform.dataset.TransformedDataset.subset_view` over the
+surviving rows, kept per task for the life of the pool and rebuilt only
+when the board leaves the task a different survivor set.  A shard's
+R-tree and strata are therefore built once per pool, not once per task
+per query.  Results -- the emitted **global row ids** plus a counter
+row -- travel back through the control block's shared arrays rather
+than the future's return value, so the parent can merge finished shards
 while the drain is still running.
 
 Each pool has its own claim lock, handed to the workers through
@@ -28,102 +34,58 @@ instead of blocking every pool after it.
 from __future__ import annotations
 
 import os
-import pickle
-import threading
 import time
-from dataclasses import dataclass
 
 from repro.exceptions import QueryTimeoutError
 
-__all__ = ["WorkerSetup", "init_worker", "run_steal_drain"]
-
-
-@dataclass(frozen=True)
-class WorkerSetup:
-    """Pickled-once pool configuration (everything points don't carry)."""
-
-    schema: object
-    mappings: tuple
-    strategy: object
-    native_mode: str
-    kernel_name: str
-    faithful_gate: bool
-    max_entries: int
-    bulk_load: bool
-
+__all__ = ["init_worker", "run_steal_drain"]
 
 # Per-process state installed by the pool initializer.
-_SETUP: WorkerSetup | None = None
-_STORE = None
-#: Caches that survive across tasks in one worker process (batch-kernel
-#: relation memo keyed by nothing -- one dataset per pool).
-_CACHES: dict = {}
+_DATASET = None
+#: Filter-board inputs per global row: ``(n, d)`` vectors, category codes.
+_VECTORS = None
+_CATS = None
+#: Shard-major global row order; a task is a ``[start, stop)`` slice.
+_ORDER = None
 #: This worker's pool claim lock (see module docstring).
 _CLAIM_LOCK = None
+#: Shard bases kept across queries: task index -> (surviving rows as
+#: bytes, shard base, global row of each shard point keyed by identity).
+_SHARDS: dict = {}
 
 
-def init_worker(setup_blob: bytes, layout, claim_lock) -> None:
-    """Pool initializer: unpickle setup, attach shared memory, keep the
-    pool's claim lock."""
-    global _SETUP, _STORE, _CLAIM_LOCK
-    from repro.parallel.shard import AttachedPointStore
-
-    _SETUP = pickle.loads(setup_blob)
-    _STORE = AttachedPointStore(layout)
-    _CACHES.clear()
+def init_worker(dataset, vectors, cats, order, claim_lock) -> None:
+    """Pool initializer: keep the fork-inherited pool state."""
+    global _DATASET, _VECTORS, _CATS, _ORDER, _CLAIM_LOCK
+    _DATASET = dataset
+    _VECTORS = vectors
+    _CATS = cats
+    _ORDER = order
     _CLAIM_LOCK = claim_lock
+    _SHARDS.clear()
 
 
-def _make_shard_dataset(points, stats, context):
-    """A standalone :class:`TransformedDataset` over rebuilt shard points.
+def _shard_base(task_ix: int, rows):
+    """The task's shard base over ``rows``, and its point -> row map.
 
-    Mirrors ``TransformedDataset.subset_view`` construction, but with a
-    worker-local kernel bound to this task's fresh counter bundle (the
-    batch kernel's relation memo is reused across tasks in the same
-    process -- it depends only on the mappings).
+    Cached per task while the board leaves it the same survivors.  The
+    base carries no kernel fault injector (chaos fires at the dispatch
+    sites instead) and no buffer pool, so its counters match a
+    standalone dataset over the same points.
     """
-    from repro.core.dominance import DominanceKernel
-    from repro.transform.dataset import TransformedDataset
-
-    setup = _SETUP
-    closures = (
-        tuple(m.closure for m in setup.mappings)
-        if setup.native_mode == "closure" and setup.mappings
-        else None
-    )
-    if setup.kernel_name == "numpy":
-        from repro.core.batch import BatchDominanceKernel
-
-        kernel = BatchDominanceKernel(
-            setup.schema, stats, setup.faithful_gate, closures, setup.mappings
-        )
-        memo = _CACHES.get("relations")
-        if memo is not None:
-            kernel._relations = memo
-    else:
-        kernel = DominanceKernel(setup.schema, stats, setup.faithful_gate, closures)
-
-    ds = TransformedDataset.__new__(TransformedDataset)
-    ds.schema = setup.schema
-    ds.records = [p.record for p in points]
-    ds.strategy = setup.strategy
-    ds.stats = stats
-    ds.mappings = setup.mappings
-    ds.native_mode = setup.native_mode
-    ds.kernel_name = setup.kernel_name
-    ds.kernel = kernel
-    ds.max_entries = setup.max_entries
-    ds.bulk_load = setup.bulk_load
-    ds.context = context
-    ds.points = list(points)
-    ds._index = None
-    ds._stratification = None
-    ds._buffer_pool = None
-    ds._build_lock = threading.RLock()
-    ds._base = None
-    ds._kernel_injector = None
-    ds._update_injector = None
-    return ds
+    key = rows.tobytes()
+    cached = _SHARDS.get(task_ix)
+    if cached is not None and cached[0] == key:
+        return cached[1], cached[2]
+    rows = rows.tolist()
+    points = [_DATASET.points[g] for g in rows]
+    shard = _DATASET.subset_view(points)
+    shard._kernel_injector = None
+    shard._buffer_pool = None
+    # Answers ship back as global rows; points map to them by identity.
+    row_of = {id(p): g for p, g in zip(points, rows)}
+    _SHARDS[task_ix] = (key, shard, row_of)
+    return shard, row_of
 
 
 def _claim_task(block, slot: int):
@@ -168,8 +130,9 @@ def _board_prune(block, rows, stats):
     Rows are scanned in :data:`~repro.parallel.board.FILTER_CHUNK`-sized
     passes; in dynamic filter mode the board is re-read between passes
     so representatives published by other workers mid-query prune the
-    remainder of this shard too.  Billing goes to the dedicated ``filter_board_*``
-    counters, never to the algorithms' own dominance bill.
+    remainder of this shard too.  Billing goes to the dedicated
+    ``filter_board_*`` counters, never to the algorithms' own dominance
+    bill.
     """
     import numpy as np
 
@@ -178,8 +141,8 @@ def _board_prune(block, rows, stats):
     mode = block.filter_mode
     if mode == FILTER_MODES["off"] or len(rows) == 0:
         return rows
-    vectors = _STORE.vectors[rows]
-    cats = _STORE.cats[rows]
+    vectors = _VECTORS[rows]
+    cats = _CATS[rows]
     alive = np.ones(len(rows), dtype=bool)
     rep_vecs, rep_cats = block.read_reps(mode)
     for lo in range(0, len(rows), FILTER_CHUNK):
@@ -196,9 +159,9 @@ def _board_prune(block, rows, stats):
     return rows[alive]
 
 
-def _local_representatives(points, local) -> list:
+def _local_representatives(local) -> list:
     """Min-key local-skyline representative per category, best first."""
-    from repro.parallel.shard import CATEGORY_CODES
+    from repro.parallel.board import CATEGORY_CODES
 
     best: dict = {}
     for p in local:
@@ -217,16 +180,11 @@ def _run_steal_task(block, task_ix: int, algorithm: str, options: dict) -> None:
     """
     from repro.algorithms.base import get_algorithm
     from repro.core.stats import ComparisonStats
-    from repro.parallel.board import (
-        FILTER_MODES,
-        TASK_OK,
-        TASK_TIMEOUT,
-    )
+    from repro.parallel.board import FILTER_MODES, TASK_OK, TASK_TIMEOUT
     from repro.resilience.context import NULL_CONTEXT, QueryContext
 
     stats = ComparisonStats()
     start, stop = (int(v) for v in block.bounds[task_ix])
-    rows = _STORE.order[start:stop]
 
     remaining = block.remaining_seconds()
     if remaining is not None and remaining <= 0:
@@ -241,27 +199,18 @@ def _run_steal_task(block, task_ix: int, algorithm: str, options: dict) -> None:
     else:
         context = NULL_CONTEXT
 
-    surviving = _board_prune(block, rows, stats).tolist()
-    points = _STORE.build_rows(_SETUP.mappings, surviving)
-    # Stub rids are *original* record ids (heap tie-break parity); map
-    # emitted points back to global rows by identity.
-    row_of = {id(p): g for p, g in zip(points, surviving)}
-    dataset = _make_shard_dataset(points, stats, context)
+    surviving = _board_prune(block, _ORDER[start:stop], stats)
+    shard, row_of = _shard_base(task_ix, surviving)
     algo = get_algorithm(algorithm, **options)
     try:
-        local = list(algo.run(dataset))
+        local = list(algo.run(shard.query_view(stats=stats, context=context)))
     except QueryTimeoutError:
         block.write_task_counters(task_ix, stats)
         block.status[task_ix] = TASK_TIMEOUT
         return
 
-    if _SETUP.kernel_name == "numpy" and "relations" not in _CACHES:
-        memo = getattr(dataset.kernel, "_relations", None)
-        if memo is not None:
-            _CACHES["relations"] = memo
-
     if block.filter_mode == FILTER_MODES["dynamic"] and local:
-        block.publish_dynamic_reps(task_ix, _local_representatives(points, local))
+        block.publish_dynamic_reps(task_ix, _local_representatives(local))
 
     count = len(local)
     block.result_rows[start : start + count] = [row_of[id(p)] for p in local]

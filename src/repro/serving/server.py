@@ -366,9 +366,10 @@ class SkylineServer:
         enabling the sharded process-pool execution mode
         (``docs/parallel.md``).  Large admitted queries without a
         resource budget run on the shared
-        :class:`~repro.parallel.ParallelSkylineExecutor`; everything
-        else stays on the serial per-thread path.  ``None`` (default)
-        disables sharding.
+        :class:`~repro.parallel.ParallelSkylineExecutor`, which picks
+        sharded or serial per algorithm from the admission estimator's
+        measurements; everything else stays on the serial per-thread
+        path.  ``None`` (default) disables sharding.
     parallel_threshold:
         Minimum dataset size (points) before an admitted query is
         routed to the parallel executor.
@@ -833,7 +834,9 @@ class SkylineServer:
                     cancel=handle.cancel_token,
                 )
                 try:
-                    result = self._attempt(handle, request, shape, context)
+                    result, calibrated = self._attempt(
+                        handle, request, shape, context
+                    )
                     break
                 except QueryTimeoutError as err:
                     handle._finish("timeout", error=err)
@@ -854,7 +857,10 @@ class SkylineServer:
             fallback_used = result.fallback
             outcome = "complete" if result.complete else "partial"
             handle._finish(outcome, result=result)
-            if result.complete:
+            # The parallel executor observes each route into its own
+            # profile: a sharded bill under the bare key would price the
+            # serial runs budgeted queries get far too low.
+            if result.complete and not calibrated:
                 self.admission.observe(
                     request.algorithm,
                     len(self.dataset),
@@ -913,7 +919,7 @@ class SkylineServer:
         return True
 
     def _attempt(self, handle: QueryHandle, request: QueryRequest,
-                 shape, context: QueryContext) -> PartialResult:
+                 shape, context: QueryContext) -> tuple[PartialResult, bool]:
         """One execution attempt under the read lock.
 
         Routes through the parallel executor / batch kernel only when
@@ -921,7 +927,8 @@ class SkylineServer:
         it; breaker verdicts are recorded from the attempt's outcome
         (a parallel-pool fallback or batch-kernel fallback counts as a
         failure of the guarded fast path even though the query itself
-        recovered).
+        recovered).  Returns the result and whether the parallel
+        executor ran it (and so already calibrated the estimator).
         """
         metrics = self.metrics
         dataset = self.dataset
@@ -1007,7 +1014,7 @@ class SkylineServer:
                     shape, result.points, region=request.constraint
                 )
                 metrics.on_cache_stored()
-        return result
+        return result, use_parallel
 
     def _run_shaped(self, handle: QueryHandle, request: QueryRequest,
                     shape, context: QueryContext) -> PartialResult:
@@ -1181,8 +1188,8 @@ class SkylineServer:
                 self._enter_read_only(str(err))
                 raise
             if self._parallel is not None:
-                # The shared-memory arrays snapshot the points at pack
-                # time; re-shard on next parallel query.
+                # The pool's workers hold the dataset as it was when
+                # they forked; re-shard on the next parallel query.
                 self._parallel.invalidate()
         self.metrics.on_update()
 

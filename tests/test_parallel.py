@@ -574,6 +574,114 @@ class TestExecutor:
         assert second.stage_seconds["partition"] == 0.0
         assert second.stage_seconds["board_seed"] > 0.0
 
+    def test_board_seeds_once_per_partition(self, monkeypatch):
+        # The static seed representatives depend only on the partition:
+        # a warm executor copies them into each query's control block
+        # without rescanning the tasks' rows.
+        from repro.parallel import executor as executor_module
+
+        calls = []
+        real = executor_module.static_representatives
+
+        def counting(points, rows):
+            calls.append(len(rows))
+            return real(points, rows)
+
+        monkeypatch.setattr(executor_module, "static_representatives", counting)
+        engine = _poset_engine(n=300)
+        with ParallelSkylineExecutor(
+            engine.dataset, ParallelConfig(workers=2, filter="static")
+        ) as executor:
+            first = executor.run("sdc+", stats=ComparisonStats())
+            assert len(calls) == first.tasks
+            second = executor.run("sdc+", stats=ComparisonStats())
+            assert second.parallel
+            assert len(calls) == first.tasks
+            executor.invalidate()
+            assert executor._seeds is None
+        assert second.counters == first.counters
+
+
+# ---------------------------------------------------------------------------
+# Route choice: sharded or serial, per algorithm, from measurements
+# ---------------------------------------------------------------------------
+class TestRouteChoice:
+    def _calibrated(self, serial_s: float, sharded_s: float):
+        from repro.serving.admission import CostEstimator
+
+        estimator = CostEstimator()
+        estimator.observe("bnl", 300, {"m_dominance_point": 1000}, serial_s)
+        estimator.observe(
+            "bnl|sharded", 300, {"m_dominance_point": 1000}, sharded_s
+        )
+        return estimator
+
+    def test_routes_serial_when_serial_estimate_is_faster(self):
+        engine = _poset_engine(n=300)
+        serial_stats = ComparisonStats()
+        serial = [p.record.rid for p in engine.run_points("bnl", stats=serial_stats)]
+        stats = ComparisonStats()
+        with ParallelSkylineExecutor(
+            engine.dataset, ParallelConfig(workers=2),
+            estimator=self._calibrated(serial_s=0.001, sharded_s=1.0),
+        ) as executor:
+            result = executor.run("bnl", stats=stats)
+            assert executor._pool is None
+        assert result.routed_serial
+        assert result.routed_reason == "cost"
+        assert not result.parallel
+        assert [p.record.rid for p in result.points] == serial
+        assert result.counters == serial_stats.snapshot()
+        assert stats.snapshot() == serial_stats.snapshot()
+
+    def test_shards_when_sharded_estimate_is_faster(self):
+        engine = _poset_engine(n=300)
+        with ParallelSkylineExecutor(
+            engine.dataset, ParallelConfig(workers=2),
+            estimator=self._calibrated(serial_s=1.0, sharded_s=0.001),
+        ) as executor:
+            result = executor.run("bnl", stats=ComparisonStats())
+        assert result.parallel
+        assert not result.routed_serial
+
+    def test_fresh_estimator_shards_twice_then_calibrates(self):
+        # Cold sharded run (not a sample), warm sharded run (the sharded
+        # sample), then one serial run to calibrate the serial profile.
+        engine = _poset_engine(n=300)
+        with ParallelSkylineExecutor(
+            engine.dataset, ParallelConfig(workers=2)
+        ) as executor:
+            estimator = executor.estimator
+            routes = []
+            samples = []
+            for _ in range(3):
+                result = executor.run("bnl", stats=ComparisonStats())
+                routes.append((result.parallel, result.routed_reason))
+                samples.append((
+                    estimator.profile_samples("bnl|sharded"),
+                    estimator.profile_samples("bnl"),
+                    # The sharded profile never feeds the task sizing.
+                    estimator.peak_comparisons(300, 4)[1],
+                ))
+        assert routes == [(True, None), (True, None), (False, "calibrating")]
+        assert samples == [(0, 0, False), (1, 0, False), (1, 1, True)]
+
+    def test_first_sharded_run_after_invalidate_adds_no_sample(self):
+        engine = _poset_engine(n=300)
+        estimator = self._calibrated(serial_s=60.0, sharded_s=0.001)
+        with ParallelSkylineExecutor(
+            engine.dataset, ParallelConfig(workers=2), estimator=estimator
+        ) as executor:
+            samples = []
+            for invalidate in (False, False, True, False):
+                if invalidate:
+                    executor.invalidate()
+                result = executor.run("bnl", stats=ComparisonStats())
+                assert result.parallel
+                samples.append(estimator.profile_samples("bnl|sharded"))
+        # Samples survive invalidate(); the warm set does not.
+        assert samples == [1, 2, 2, 3]
+
 
 # ---------------------------------------------------------------------------
 # Cross-shard filter board
@@ -621,7 +729,7 @@ class TestFilterBoard:
         import numpy as np
 
         from repro.parallel.board import prune_chunk
-        from repro.parallel.shard import CATEGORY_CODES
+        from repro.parallel.board import CATEGORY_CODES
 
         rng = random.Random(17)
         records = [
@@ -647,7 +755,7 @@ class TestFilterBoard:
 
     def test_static_representatives_min_key(self):
         from repro.parallel.board import static_representatives
-        from repro.parallel.shard import CATEGORY_BY_CODE
+        from repro.parallel.board import CATEGORY_BY_CODE
 
         engine = _poset_engine(n=100)
         points = engine.dataset.points
@@ -669,6 +777,140 @@ class TestFilterBoard:
         assert result.parallel
         assert result.filter_reps_published >= 0  # timing-dependent count
         assert result.counters["filter_board_checks"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Worker-resident shard bases (driven in-process)
+# ---------------------------------------------------------------------------
+class TestShardCache:
+    @pytest.fixture
+    def worker(self, monkeypatch):
+        """The worker module, its per-process state restored afterwards."""
+        from repro.parallel import worker
+
+        for name in ("_DATASET", "_VECTORS", "_CATS", "_ORDER", "_CLAIM_LOCK"):
+            monkeypatch.setattr(worker, name, getattr(worker, name))
+        monkeypatch.setattr(worker, "_SHARDS", {})
+        return worker
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts every R-tree build."""
+        from repro.transform.dataset import TransformedDataset
+
+        calls = []
+        real = TransformedDataset.build_tree
+
+        def counting(self, points):
+            calls.append(len(points))
+            return real(self, points)
+
+        monkeypatch.setattr(TransformedDataset, "build_tree", counting)
+        return calls
+
+    def _setup(self, worker, engine):
+        import threading
+
+        from repro.parallel.executor import _worker_arrays
+
+        dataset = engine.dataset
+        partition = partition_dataset(
+            dataset,
+            ParallelConfig(
+                workers=2, min_shard_points=8, mode="grid", min_task_work=1.0
+            ),
+        )
+        worker.init_worker(
+            dataset, *_worker_arrays(dataset, partition), threading.Lock()
+        )
+        return partition
+
+    def _engine(self):
+        # One best point plus strictly worse filler: task 0's own seed
+        # representative prunes the rest of task 0 under the board.
+        rng = random.Random(11)
+        records = [Record(0, (0, 0))] + [
+            Record(i, (rng.randint(5, 40), rng.randint(5, 40)))
+            for i in range(1, 65)
+        ]
+        return _numeric_engine(records)
+
+    def test_repeated_task_reuses_shard_base(self, worker, builds):
+        from repro.parallel.board import TASK_OK, ControlBlock
+
+        engine = self._engine()
+        partition = self._setup(worker, engine)
+        block = ControlBlock.create(
+            partition.shards, 1, engine.dataset.dimensions,
+            filter_mode="off", deadline_epoch=None,
+        )
+        try:
+            worker._run_steal_task(block, 0, "bbs+", {})
+            assert int(block.status[0]) == TASK_OK
+            shard = worker._SHARDS[0][1]
+            assert len(shard.points) == len(partition.shards[0].rows)
+            assert builds == [len(shard.points)]
+            first = block.task_counters(0)
+            worker._run_steal_task(block, 0, "bbs+", {})
+            assert worker._SHARDS[0][1] is shard
+            assert builds == [len(shard.points)]  # no tree rebuilt
+            assert block.task_counters(0) == first
+        finally:
+            block.close()
+
+    def test_new_survivors_rebuild_shard_base(self, worker, builds):
+        from repro.parallel.board import ControlBlock, static_representatives
+
+        engine = self._engine()
+        points = engine.dataset.points
+        partition = self._setup(worker, engine)
+        dims = engine.dataset.dimensions
+        off = ControlBlock.create(
+            partition.shards, 1, dims, filter_mode="off", deadline_epoch=None
+        )
+        board = ControlBlock.create(
+            partition.shards, 1, dims, filter_mode="static",
+            deadline_epoch=None,
+        )
+        try:
+            for shard in partition.shards:
+                board.seed_static_reps(
+                    shard.index, static_representatives(points, shard.rows)
+                )
+            worker._run_steal_task(off, 0, "bbs+", {})
+            unpruned = worker._SHARDS[0][1]
+            worker._run_steal_task(board, 0, "bbs+", {})
+            assert board.task_counters(0)["filter_board_hits"] > 0
+            pruned = worker._SHARDS[0][1]
+            assert pruned is not unpruned
+            assert len(pruned.points) < len(unpruned.points)
+            assert builds == [len(unpruned.points), len(pruned.points)]
+        finally:
+            off.close()
+            board.close()
+
+    def test_shard_view_has_no_kernel_fault_injector(self, worker):
+        from repro.parallel.board import TASK_OK, ControlBlock
+        from repro.resilience.chaos import ChaoticKernel, inject_kernel_faults
+
+        engine = self._engine()
+        injector = inject_kernel_faults(
+            engine.dataset, FaultInjector(seed=1, rate=1.0, max_faults=10**9)
+        )
+        partition = self._setup(worker, engine)
+        block = ControlBlock.create(
+            partition.shards, 1, engine.dataset.dimensions,
+            filter_mode="off", deadline_epoch=None,
+        )
+        try:
+            worker._run_steal_task(block, 0, "bbs+", {})
+            assert int(block.status[0]) == TASK_OK
+        finally:
+            block.close()
+        shard = worker._SHARDS[0][1]
+        assert shard._kernel_injector is None
+        assert not isinstance(shard.query_view().kernel, ChaoticKernel)
+        assert injector.calls == 0
 
 
 # ---------------------------------------------------------------------------
@@ -833,6 +1075,33 @@ class TestServerIntegration:
             assert snap["steals"] >= 0
             assert snap["filter_board_checks"] > 0
             assert set(snap["stage_seconds"]) == set(STAGE_KEYS)
+        finally:
+            server.close()
+
+    def test_sharded_bills_do_not_calibrate_admission(self):
+        # Budgeted queries always run serial, so admission must price
+        # them from serial bills -- never from a cheaper sharded one.
+        from repro.exceptions import AdmissionRejectedError
+
+        engine = _poset_engine(n=300)
+        server = SkylineServer(
+            engine.dataset,
+            workers=1,
+            parallel=ParallelConfig(workers=2),
+            parallel_threshold=100,
+        )
+        try:
+            for _ in range(2):  # cold, then warm sharded
+                server.submit(QueryRequest(algorithm="bnl")).result(timeout=60)
+            estimator = server.admission.estimator
+            assert estimator.profile_samples("bnl") == 0
+            assert estimator.profile_samples("bnl|sharded") == 1
+            spent = server.stats.total_dominance_checks
+            with pytest.raises(AdmissionRejectedError) as info:
+                server.submit(algorithm="bnl", max_comparisons=1000)
+            assert info.value.reason == "comparisons"
+            assert server.stats.total_dominance_checks == spent
+            assert server.metrics.snapshot()["parallel"]["queries"] == 2
         finally:
             server.close()
 
