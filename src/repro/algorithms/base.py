@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+import inspect
 from typing import ClassVar, Iterator
 
 from repro.exceptions import AlgorithmError
@@ -26,13 +27,20 @@ def register(cls: type["SkylineAlgorithm"]) -> type["SkylineAlgorithm"]:
 
 
 def get_algorithm(name: str, **options) -> "SkylineAlgorithm":
-    """Instantiate a registered algorithm by name (case-insensitive)."""
-    try:
-        cls = _REGISTRY[name.lower()]
-    except KeyError:
+    """Instantiate a registered algorithm by name (case-insensitive).
+
+    Raises :class:`~repro.exceptions.AlgorithmError` for an unknown name
+    and for ``options`` the algorithm's constructor does not accept.
+    """
+    cls = _REGISTRY.get(name.lower()) if isinstance(name, str) else None
+    if cls is None:
         raise AlgorithmError(
             f"unknown algorithm {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None
+        )
+    try:
+        inspect.signature(cls).bind(**options)
+    except TypeError as err:
+        raise AlgorithmError(f"invalid options for algorithm {name!r}: {err}") from None
     return cls(**options)
 
 

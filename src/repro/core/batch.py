@@ -36,6 +36,7 @@ identical answer sequences *and* identical counter bundles.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -69,6 +70,12 @@ def _bits_cols(bits: np.ndarray, i: int, cols: np.ndarray) -> np.ndarray:
     """Bit ``(i, cols[k])`` of a packed matrix, as bools."""
     row = bits[i]
     return ((row[cols >> 3] >> (7 - (cols & 7))) & 1).astype(bool)
+
+
+def _bits_block(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Bits ``(rows[x], cols[y])`` of a packed matrix, as an (x, y) bool block."""
+    words = bits.take(rows, axis=0).take(cols >> 3, axis=1)
+    return ((words >> (7 - (cols & 7))) & 1).astype(bool)
 
 
 class _AttrRelation:
@@ -253,6 +260,46 @@ class _AttrRelation:
         arr = np.asarray(out, dtype=bool)
         return arr[:, 0], arr[:, 1]
 
+    def block(
+        self, a_pix: np.ndarray, b_pix: np.ndarray, reverse: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized ``(ge, gt)`` of every ``(a_pix[x], b_pix[y])`` pair.
+
+        Both results have shape ``(len(a_pix), len(b_pix))``; with
+        ``reverse`` entry ``(x, y)`` relates ``b_pix[y]`` to ``a_pix[x]``
+        instead.  Results are C-contiguous, so the elementwise folds
+        that consume them run at full speed.  The unpacked storage
+        gathers whole rows first, then columns from them -- several
+        times cheaper than one 2-D fancy index -- reading the transposes
+        for ``reverse``.
+        """
+        if self.ge_bool is not None:
+            ge, gt = (self.ge_boolT, self.gt_boolT) if reverse else (
+                self.ge_bool, self.gt_bool)
+            return (ge.take(a_pix, axis=0).take(b_pix, axis=1),
+                    gt.take(a_pix, axis=0).take(b_pix, axis=1))
+        if self.ge_bits is not None:
+            if reverse:
+                return (
+                    np.ascontiguousarray(_bits_block(self.ge_bits, b_pix, a_pix).T),
+                    np.ascontiguousarray(_bits_block(self.gt_bits, b_pix, a_pix).T),
+                )
+            return (_bits_block(self.ge_bits, a_pix, b_pix),
+                    _bits_block(self.gt_bits, a_pix, b_pix))
+        # LRU pair-cache: one scalar verdict per distinct node pair.
+        ua, ia = np.unique(a_pix, return_inverse=True)
+        ub, ib = np.unique(b_pix, return_inverse=True)
+        pair = self.pair
+        table = np.asarray(
+            [
+                [pair(j, i) if reverse else pair(i, j) for j in ub.tolist()]
+                for i in ua.tolist()
+            ],
+            dtype=bool,
+        ).reshape(len(ua), len(ub), 2)
+        table = table.take(ia, axis=0).take(ib, axis=1)
+        return np.ascontiguousarray(table[:, :, 0]), np.ascontiguousarray(table[:, :, 1])
+
 
 # ---------------------------------------------------------------------------
 # Kernel
@@ -330,6 +377,144 @@ class BatchDominanceKernel(DominanceKernel):
         if arr is None:
             arr = point._arr = np.asarray(point.vector, dtype=np.float64)
         return arr
+
+    # ------------------------------------------------------------------
+    # Verdicts for BNL window scans
+    # ------------------------------------------------------------------
+    # A BNL scan of window rows tests, row by row, "does the row dominate
+    # the candidate?" and then "does the candidate dominate the row?",
+    # stopping at the first dominator and reshaping the window at the
+    # first eviction.  Both methods below reduce such a scan to those two
+    # events: the first dominator row and the first row the candidate
+    # dominates (``R``, the row count, when there is none; an eviction
+    # row past the dominator may read as ``R``, since the scan stops at
+    # the dominator).  They add ``fails``: how many of the scan's charged
+    # tests -- both directions for every row up to the earlier event,
+    # except the reverse test of a dominator row -- a native comparison
+    # settles on the totally-ordered prefix (``native_numeric`` charges;
+    # 0 for m-dominance and for schemas without poset attributes, whose
+    # tests never split).  Nothing is charged here: the caller charges
+    # each candidate as it consumes its verdict.
+
+    def block_verdicts(
+        self,
+        native: bool,
+        block: list["Point"],
+        rows_vt: np.ndarray,
+        rows_pt: np.ndarray,
+    ) -> tuple[list[int], list[int], list[int]]:
+        """Scan verdicts of every candidate in ``block`` against the
+        window rows ``rows_vt``/``rows_pt`` (one column per row), from
+        one broadcast evaluation of the (candidate, row) grid.
+
+        ``native`` selects original-domain dominance, otherwise
+        m-dominance.  Returns the ``(first_dom, first_evict, fails)``
+        lists described above, one entry per candidate.
+        """
+        R = rows_vt.shape[1]
+        B = len(block)
+        d = rows_vt.shape[0]
+        cand_vt = np.fromiter(
+            chain.from_iterable(p.vector for p in block), np.float64, B * d
+        ).reshape(B, d).T
+        split = False
+        if native:
+            nt = self._num_total
+            if nt:
+                le1 = rows_vt[0] <= cand_vt[0][:, None]  # row no worse
+                le2 = rows_vt[0] >= cand_vt[0][:, None]  # candidate no worse
+                for k in range(1, nt):
+                    le1 &= rows_vt[k] <= cand_vt[k][:, None]
+                    le2 &= rows_vt[k] >= cand_vt[k][:, None]
+                fail1 = ~le1
+                fail2 = ~le2
+            else:
+                le1 = np.ones((B, R), dtype=bool)
+                le2 = le1.copy()
+                fail1 = fail2 = np.zeros((B, R), dtype=bool)
+            # A row strictly better on some total is exactly one the
+            # candidate fails to match there (and vice versa).
+            strict1, strict2 = fail2, fail1
+            rels = self.relations()
+            if rels:
+                split = True
+                cand_pt = np.fromiter(
+                    chain.from_iterable(p.pix for p in block),
+                    np.int64,
+                    B * len(rels),
+                ).reshape(B, len(rels)).T
+            for k, rel in enumerate(rels):
+                ge1, gt1 = rel.block(cand_pt[k], rows_pt[k], reverse=True)
+                ge2, gt2 = rel.block(cand_pt[k], rows_pt[k])
+                le1 &= ge1
+                le2 &= ge2
+                strict1 = strict1 | gt1
+                strict2 = strict2 | gt2
+            dom1 = le1 & strict1
+            dom2 = le2 & strict2
+        else:
+            le = rows_vt[0] <= cand_vt[0][:, None]
+            ge = rows_vt[0] >= cand_vt[0][:, None]
+            for k in range(1, d):
+                le &= rows_vt[k] <= cand_vt[k][:, None]
+                ge &= rows_vt[k] >= cand_vt[k][:, None]
+            dom1 = le > ge  # le and not ge: not equal, so strict
+            dom2 = ge > le
+        first_dom = dom1.argmax(axis=1)
+        first_evict = dom2.argmax(axis=1)
+        idx = np.arange(B)
+        first_dom[~dom1[idx, first_dom]] = R
+        first_evict[~dom2[idx, first_evict]] = R
+        if not split:
+            return first_dom.tolist(), first_evict.tolist(), [0] * B
+        # Rows [0, t1) ran both directions, less the reverse test of a
+        # dominator row.  One segmented sum over the flattened grid
+        # counts the failures in each candidate's first t1 rows.
+        t1 = np.minimum(np.minimum(first_dom, first_evict) + 1, R)
+        bounds = np.empty(2 * B, dtype=np.intp)
+        bounds[0::2] = idx * R
+        bounds[1::2] = bounds[0::2] + t1
+        both = fail1.view(np.uint8) + fail2.view(np.uint8)
+        if bounds[-1] == both.size:  # the last candidate counts its row whole
+            bounds = bounds[:-1]
+        fails = np.add.reduceat(both.ravel(), bounds, dtype=np.intp)[0::2]
+        fails -= fail2[idx, t1 - 1] & (first_dom < first_evict)
+        return first_dom.tolist(), first_evict.tolist(), fails.tolist()
+
+    def scan_verdict(
+        self,
+        native: bool,
+        point: "Point",
+        rows_vt: np.ndarray,
+        rows_pt: np.ndarray,
+    ) -> tuple[int, int, int]:
+        """``(first_dom, first_evict, fails)`` of one candidate against
+        the window rows, from 1-D masks (a scan resumed past its block
+        verdict)."""
+        R = rows_vt.shape[1]
+        if native:
+            dom1, fail1, dom2, fail2 = _native_masks_both(
+                self, rows_vt, rows_pt, point.vector, point.pix
+            )
+        else:
+            le, ge = _m_le_both(rows_vt, point.vector)
+            dom1 = le > ge
+            dom2 = ge > le
+        # A bool argmax stops at the first True; a miss reads 0.
+        first_dom = int(dom1.argmax())
+        if not dom1[first_dom]:
+            first_dom = R
+        first_evict = int(dom2[:first_dom].argmax()) if first_dom else 0
+        if first_evict >= first_dom or not dom2[first_evict]:
+            first_evict = R
+        if not native or not self._posets:
+            return first_dom, first_evict, 0
+        if first_dom < first_evict:
+            t1, t2 = first_dom + 1, first_dom
+        else:
+            t1 = t2 = min(first_evict + 1, R)
+        fails = int(np.count_nonzero(fail1[:t1])) + int(np.count_nonzero(fail2[:t2]))
+        return first_dom, first_evict, fails
 
     # ------------------------------------------------------------------
     # Scalar native dominance through the memo (identical counters)
@@ -939,16 +1124,14 @@ class SkylineBuffer:
 # ---------------------------------------------------------------------------
 # Batch block-nested-loops
 # ---------------------------------------------------------------------------
-# Dominance tests a candidate answers through the kernel's scalar
-# methods before its window scan switches to one bulk vectorized
-# evaluation.  Candidates that die on the very first window rows never
-# pay the fixed cost of the numpy expressions; everything else switches
-# to the bulk pass quickly (profiles show most survivors scan deep).
-_SCALAR_TESTS = 4
-
-# First bulk chunk of a BNL window scan; survivors then evaluate the
-# whole remaining window in one pass.
-_BNL_CHUNK = 256
+# Candidates that share one block verdict, and the window rows (from the
+# front) it covers.  Most candidates meet their first dominator within
+# the first few hundred window rows, so one vectorized evaluation of the
+# next _BLOCK candidates against _PREFIX rows settles most of them with
+# a few list lookups each; only the rest pay a per-candidate evaluation
+# of the rows beyond.
+_BLOCK = 64
+_PREFIX = 256
 
 
 def batch_bnl_passes(
@@ -963,19 +1146,34 @@ def batch_bnl_passes(
 
     ``mode`` is ``"m"`` (transformed-space m-dominance, the BNL+ first
     stage) or ``"native"`` (original-domain dominance).  Control flow,
-    emission order and counters mirror the Python version exactly.  The
-    window lives in positional matrices ``FV``/``Fpix`` that mirror the
-    ``fresh`` list through every swap-pop, so each bulk evaluation is a
-    zero-copy view of the live suffix.  A candidate's scan starts with
-    ``_SCALAR_TESTS`` plain scalar kernel calls; after that both
-    dominance directions against the remaining rows come from one
-    vectorized pass.  When the candidate evicts nothing before its
-    verdict (the overwhelmingly common case) the outcome and its exact
-    comparison charges are reduced directly from the masks; an eviction
-    is charged through the masks up to the evicted row, applied as the
-    same swap-pop the Python loop performs, and the scan re-vectorizes
-    from that position (verdicts depend only on the (candidate, row)
-    pair, never on scan position, so recomputed masks agree).
+    emission order, the one ``checkpoint()`` per candidate and every
+    counter mirror the Python version exactly.  The window lives in
+    positional matrices ``FVt``/``FPt`` that mirror the ``fresh`` list
+    through every swap-pop.
+
+    A window scan needs, per run of rows, only the first row that
+    dominates the candidate and the first row it dominates: that fixes
+    the outcome, the swap-pops and the exact charges of the sequential
+    scan.  The kernel supplies both (see
+    :meth:`BatchDominanceKernel.block_verdicts`).  A candidate's scan
+    starts from a *block verdict*: one vectorized evaluation of the next
+    ``_BLOCK`` candidates (gathered per block) against the window's
+    first ``_PREFIX`` rows.  Verdicts depend only on the (candidate,
+    row) pair, so a block stays valid while those rows are unchanged:
+    appends and swap-pops beyond the prefix leave it alone; an eviction
+    inside the prefix expires it, and the next candidate starts a new
+    block.  So does a window that has outgrown a short prefix (grown to
+    twice the rows the block covers): rebuilding on every append would
+    cost a block per candidate while the window grows.  A candidate
+    dominated before any eviction is charged and dropped from its block
+    verdict alone.  One that evicts a row is charged up to that row, the
+    row is swap-popped exactly as the Python loop does, and the scan
+    resumes at that position; one that passes the prefix resumes after
+    it.  A resumed scan is one candidate's
+    :meth:`~BatchDominanceKernel.scan_verdict` over the rest of the live
+    window (zero-copy views of the positional matrices).  Carried
+    multi-pass entries are compared first, through the kernel's scalar
+    methods, as before.
     """
     if window_size < 1:
         from repro.exceptions import AlgorithmError
@@ -988,18 +1186,13 @@ def batch_bnl_passes(
     checkpoint = context.checkpoint
     guard_window = context.guard_window
     native = mode != "m"
-    if native:
-        scalar_dom = kernel.native_dominates
-        if not kernel._posets:
-            expensive = None
-        elif kernel._closures is not None:
-            expensive = "native_closure"
-        else:
-            expensive = "native_set"
-    else:
-        scalar_dom = kernel.m_dominates
-        expensive = None
-    nposets = len(kernel._posets)
+    scalar_dom = kernel.native_dominates if native else kernel.m_dominates
+    block_verdicts = kernel.block_verdicts
+    scan_verdict = kernel.scan_verdict
+    point_array = kernel.point_array
+    # m-dominance never reads poset node indices: keep no pix rows.
+    nposets = len(kernel._posets) if native else 0
+    closure = kernel._closures is not None
     dims = kernel.schema.transformed_dimensions
     cap = 256
     FVt = np.empty((dims, cap), dtype=np.float64)
@@ -1012,13 +1205,18 @@ def batch_bnl_passes(
         release_at = 0
         live_carried = len(carried)
         stats.tuples_scanned += len(current)
-        for read_pos, r in enumerate(current, start=1):
+        n_current = len(current)
+        # current[block_lo:block_hi] hold block verdicts over the first
+        # `span` window rows.
+        block_lo = block_hi = span = 0
+        first_dom = first_evict = fails = []
+        for pos, r in enumerate(current):
             checkpoint()
             while release_at < len(carried):
                 entry = carried[release_at]
                 if entry is None:
                     release_at += 1
-                elif entry[1] <= read_pos - 1:
+                elif entry[1] <= pos:
                     yield entry[0]
                     carried[release_at] = None
                     live_carried -= 1
@@ -1039,102 +1237,63 @@ def batch_bnl_passes(
                 if scalar_dom(r, w):
                     carried[i] = None
                     live_carried -= 1
-            if not dominated:
-                # Window scan, scalar prefix.
-                i = 0
-                tests = 0
-                while i < len(fresh) and tests < _SCALAR_TESTS:
-                    w = fresh[i][0]
-                    tests += 2
-                    if scalar_dom(w, r):
+            i = 0
+            nf = len(fresh)
+            if not dominated and nf:
+                if pos >= block_hi or span < _PREFIX and nf >= 2 * span:
+                    block_lo = pos
+                    block_hi = min(n_current, pos + _BLOCK)
+                    span = min(nf, _PREFIX)
+                    first_dom, first_evict, fails = block_verdicts(
+                        native,
+                        current[pos:block_hi],
+                        FVt[:, :span],
+                        FPt[:, :span],
+                    )
+                b = pos - block_lo
+                dom, ev, failed, end = first_dom[b], first_evict[b], fails[b], span
+                while True:
+                    # The scan of rows [i, end) meets its first dominator
+                    # at i + dom and its first eviction at i + ev.
+                    if dom < ev:
                         dominated = True
+                        t1, t2 = dom + 1, dom
+                    elif ev < end - i:
+                        t1 = t2 = ev + 1
+                    else:
+                        t1 = t2 = end - i
+                    if not native:
+                        stats.m_dominance_point += t1 + t2
+                    elif not nposets:
+                        stats.native_numeric += t1 + t2
+                    else:
+                        stats.native_numeric += failed
+                        if closure:
+                            stats.native_closure += t1 + t2 - failed
+                        else:
+                            stats.native_set += t1 + t2 - failed
+                    if dominated:
                         break
-                    if scalar_dom(r, w):
+                    if ev < end - i:
+                        # Swap-pop the evicted row, as the Python loop
+                        # does, and rescan from its position.
+                        i += ev
+                        if i < span:
+                            block_hi = pos + 1  # the prefix changed
                         last = len(fresh) - 1
                         fresh[i] = fresh[last]
                         fresh.pop()
                         FVt[:, i] = FVt[:, last]
                         if nposets:
                             FPt[:, i] = FPt[:, last]
-                        continue
-                    i += 1
-                # Bulk phase over the live window suffix (zero-copy
-                # views of the positional matrices), in two stages: a
-                # first chunk sized for the typical early death, then
-                # the whole remainder.  Re-vectorizes after each
-                # eviction: verdicts are pair-properties, so
-                # recomputing over the compacted suffix stays exact.
-                wvec = r.vector
-                chunk = _BNL_CHUNK
-                while not dominated and i < len(fresh):
-                    nf = len(fresh)
-                    m = nf if nf - i <= chunk else i + chunk
-                    Vt = FVt[:, i:m]
-                    if native:
-                        dom1, fail1, dom2, fail2 = _native_masks_both(
-                            kernel, Vt, FPt[:, i:m], wvec, r.pix
-                        )
                     else:
-                        le1, ge1 = _m_le_both(Vt, wvec)
-                        dom1 = le1 & ~ge1
-                        dom2 = ge1 & ~le1
-                    hits = dom1.nonzero()[0]
-                    stop = int(hits[0]) if hits.size else m - i
-                    ev = dom2[:stop].nonzero()[0]
-                    if ev.size == 0:
-                        # No evictions before the verdict: scan order
-                        # never changes, so the outcome and its charges
-                        # follow from the masks directly.
-                        if hits.size:
-                            dominated = True
-                            t1 = stop + 1
-                            t2 = stop
-                        else:
-                            t1 = t2 = m - i
-                        if not native:
-                            stats.m_dominance_point += t1 + t2
-                        elif expensive is None:
-                            stats.native_numeric += t1 + t2
-                        else:
-                            fails = int(np.count_nonzero(fail1[:t1]))
-                            fails += int(np.count_nonzero(fail2[:t2]))
-                            stats.native_numeric += fails
-                            setattr(
-                                stats,
-                                expensive,
-                                getattr(stats, expensive) + t1 + t2 - fails,
-                            )
-                        if dominated:
-                            break
-                        i = m
-                        chunk = nf  # survived the first chunk: rest at once
-                        continue
-                    # First eviction at relative row e: rows [0..e] ran
-                    # both directions (no stop among them), then the
-                    # Python loop swap-pops and retries the same
-                    # position against the swapped-in tail entry.
-                    e = int(ev[0])
-                    if not native:
-                        stats.m_dominance_point += 2 * (e + 1)
-                    elif expensive is None:
-                        stats.native_numeric += 2 * (e + 1)
-                    else:
-                        fails = int(np.count_nonzero(fail1[: e + 1]))
-                        fails += int(np.count_nonzero(fail2[: e + 1]))
-                        stats.native_numeric += fails
-                        setattr(
-                            stats,
-                            expensive,
-                            getattr(stats, expensive) + 2 * (e + 1) - fails,
-                        )
-                    pos = i + e
-                    last = len(fresh) - 1
-                    fresh[pos] = fresh[last]
-                    fresh.pop()
-                    FVt[:, pos] = FVt[:, last]
-                    if nposets:
-                        FPt[:, pos] = FPt[:, last]
-                    i = pos
+                        i = end
+                    end = len(fresh)
+                    if i >= end:
+                        break
+                    dom, ev, failed = scan_verdict(
+                        native, r, FVt[:, i:end], FPt[:, i:end]
+                    )
             if dominated:
                 continue
             if len(fresh) + live_carried < window_size:
@@ -1145,7 +1304,7 @@ def batch_bnl_passes(
                     cap *= 2
                     FVt = np.concatenate([FVt, np.empty_like(FVt)], axis=1)
                     FPt = np.concatenate([FPt, np.empty_like(FPt)], axis=1)
-                FVt[:, nf - 1] = kernel.point_array(r)
+                FVt[:, nf - 1] = point_array(r)
                 if nposets:
                     FPt[:, nf - 1] = r.pix
                 stats.window_inserts += 1

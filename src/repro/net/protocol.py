@@ -73,6 +73,7 @@ import zlib
 
 from repro.exceptions import (
     AdmissionRejectedError,
+    AlgorithmError,
     BudgetExhaustedError,
     LockTimeoutError,
     ProtocolError,
@@ -137,6 +138,7 @@ ERROR_CODES = {
     "read-only": ServingError,
     "serving": ServingError,
     "protocol": ProtocolError,
+    "invalid-request": AlgorithmError,
     "internal": Exception,
 }
 
@@ -303,6 +305,8 @@ def error_payload(error: BaseException, qid=None) -> dict:
         detail = {"reason": error.reason}
     elif isinstance(error, ProtocolError):
         code = "protocol"
+    elif isinstance(error, AlgorithmError):
+        code = "invalid-request"
     elif isinstance(error, ServingError):
         # Read-only latch surfaces through its message; keep it typed.
         code = "read-only" if "read-only" in str(error) else "serving"

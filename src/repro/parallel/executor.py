@@ -78,6 +78,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
+from repro.algorithms.base import get_algorithm
 from repro.core.stats import ComparisonStats
 from repro.exceptions import (
     ParallelError,
@@ -384,10 +385,15 @@ class ParallelSkylineExecutor:
         serial path per algorithm checkpoint, on the sharded path one
         batch per merged shard as its merge pass completes (each batch
         extends a valid prefix of the final emission order, and batches
-        arrive while later tasks still compute).
+        arrive while later tasks still compute).  An unknown algorithm
+        or option raises :class:`~repro.exceptions.AlgorithmError`
+        before any routing.
         """
         if self._closed:
             raise ParallelError("executor is closed")
+        # A caller error raises here, before routing: never a pool
+        # failure, a fallback or a breaker verdict.
+        get_algorithm(algorithm, **options)
         target = stats if stats is not None else self.dataset.stats
         started = time.perf_counter()
         cached = self._partition is not None

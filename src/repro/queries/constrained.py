@@ -32,7 +32,10 @@ from repro.rtree.node import Node
 from repro.transform.dataset import TransformedDataset
 from repro.transform.point import Point
 
-__all__ = ["Constraint", "constrained_skyline"]
+__all__ = ["Constraint", "constrained_skyline", "METHODS"]
+
+#: The ``method`` values :func:`constrained_skyline` accepts.
+METHODS = ("bbs", "bnl")
 
 
 class Constraint:
@@ -161,8 +164,10 @@ def constrained_skyline(
         return list(
             bnl_passes(qualifying, kernel.native_dominates, 10**9, dataset.stats)
         )
-    if method != "bbs":
-        raise AlgorithmError(f"unknown constrained-skyline method {method!r}")
+    if method not in METHODS:
+        raise AlgorithmError(
+            f"unknown constrained-skyline method {method!r}; available: {list(METHODS)}"
+        )
 
     box_mins, box_maxs = constraint._transformed_box(dataset)
     skyline: list[Point] = []

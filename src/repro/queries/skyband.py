@@ -33,7 +33,10 @@ from repro.rtree.node import Node
 from repro.transform.dataset import TransformedDataset
 from repro.transform.point import Point
 
-__all__ = ["k_skyband", "k_skyband_nested_loops", "k_skyband_bbs"]
+__all__ = ["k_skyband", "k_skyband_nested_loops", "k_skyband_bbs", "METHODS"]
+
+#: The ``method`` values :func:`k_skyband` accepts.
+METHODS = ("bbs", "nested-loops", "nl")
 
 
 def _exact_filter(
@@ -116,4 +119,6 @@ def k_skyband(
         return k_skyband_bbs(dataset, k)
     if method in ("nested-loops", "nl"):
         return k_skyband_nested_loops(dataset, k)
-    raise AlgorithmError(f"unknown skyband method {method!r}")
+    raise AlgorithmError(
+        f"unknown skyband method {method!r}; available: {list(METHODS)}"
+    )

@@ -303,9 +303,10 @@ class ChaoticKernel:
     """Fault-injecting proxy over a dominance kernel.
 
     Wraps the scalar comparison methods and, for batch kernels, the
-    buffers handed out by ``new_buffer`` -- so faults hit both the
-    python-style scalar paths and the vectorized batch paths.  All
-    other attributes pass through to the wrapped kernel.
+    BNL scan verdicts and the buffers handed out by ``new_buffer`` --
+    so faults hit both the python-style scalar paths and the vectorized
+    batch paths.  All other attributes pass through to the wrapped
+    kernel.
     """
 
     __slots__ = ("_kernel", "_injector")
@@ -346,6 +347,16 @@ class ChaoticKernel:
         """Proxy of the kernel's ``full_dominates`` (may inject a fault)."""
         self._injector.maybe_fail("kernel.full_dominates")
         return self._kernel.full_dominates(p, q)
+
+    def block_verdicts(self, native, block, rows_vt, rows_pt):
+        """Proxy of the kernel's ``block_verdicts`` (may inject a fault)."""
+        self._injector.maybe_fail("kernel.block_verdicts")
+        return self._kernel.block_verdicts(native, block, rows_vt, rows_pt)
+
+    def scan_verdict(self, native, point, rows_vt, rows_pt):
+        """Proxy of the kernel's ``scan_verdict`` (may inject a fault)."""
+        self._injector.maybe_fail("kernel.scan_verdict")
+        return self._kernel.scan_verdict(native, point, rows_vt, rows_pt)
 
     def new_buffer(self):
         """New buffer, wrapped in a :class:`ChaoticBuffer` proxy."""

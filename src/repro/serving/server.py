@@ -69,6 +69,7 @@ from typing import TYPE_CHECKING
 from repro.core.stats import ComparisonStats
 from repro.exceptions import (
     AdmissionRejectedError,
+    AlgorithmError,
     KernelError,
     ParallelError,
     QueryCancelledError,
@@ -164,6 +165,37 @@ class QueryRequest:
             constraint=self.constraint,
             skyband_k=self.skyband_k,
         )
+
+    def validate(self) -> None:
+        """Check that an evaluator can run this request.
+
+        Raises :class:`~repro.exceptions.ServingError` when more than
+        one shaping field is set, and
+        :class:`~repro.exceptions.AlgorithmError` for an unknown
+        algorithm or an option its constructor does not take -- or,
+        for constrained and skyband requests, whose only option is
+        ``method``, for any other option or an unknown method.
+        """
+        kind = self.shape().kind
+        if kind in ("skyline", "subspace"):
+            from repro.algorithms.base import get_algorithm
+
+            get_algorithm(self.algorithm, **self.options)
+            return
+        if kind == "constrained":
+            from repro.queries.constrained import METHODS
+        else:
+            from repro.queries.skyband import METHODS
+        unknown = sorted(set(self.options) - {"method"})
+        if unknown:
+            raise AlgorithmError(
+                f"{kind} queries take only a 'method' option, not {unknown}"
+            )
+        method = self.options.get("method", "bbs")
+        if method not in METHODS:
+            raise AlgorithmError(
+                f"unknown {kind} method {method!r}; available: {list(METHODS)}"
+            )
 
     def budget(self) -> ResourceBudget | None:
         """The request's resource budget (``None`` when unlimited)."""
@@ -625,9 +657,14 @@ class SkylineServer:
 
         Accepts a ready :class:`QueryRequest` or its fields as keyword
         arguments (``server.submit(algorithm="bbs+", deadline=0.5)``).
-        Raises :class:`~repro.exceptions.AdmissionRejectedError` when
-        the admission controller (or the degradation ladder) refuses
-        the query -- before a single dominance comparison has been
+        Raises :class:`~repro.exceptions.AlgorithmError` (or
+        :class:`~repro.exceptions.ServingError` for conflicting shaping
+        fields) when no evaluator can run the request
+        (:meth:`QueryRequest.validate`), before the cache, admission,
+        queue, pool or any breaker sees it;
+        :class:`~repro.exceptions.AdmissionRejectedError` when the
+        admission controller (or the degradation ladder) refuses the
+        query -- both before a single dominance comparison has been
         executed on its behalf -- ,
         :class:`~repro.exceptions.QueryShedError` when the bounded
         queue sheds the incoming query under load, and
@@ -641,6 +678,11 @@ class SkylineServer:
         metrics.on_submitted()
         if self._closed:
             raise ServingError("server is closed")
+        try:
+            request.validate()
+        except (AlgorithmError, ServingError):
+            metrics.on_rejected("invalid-request")
+            raise
         if self.validate_on_admission:
             self._ensure_valid_indexes()
         mode = self._ladder.mode

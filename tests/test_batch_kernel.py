@@ -198,6 +198,92 @@ def test_parity_small_window_multipass():
         )
 
 
+# ---------------------------------------------------------------------------
+# BNL block verdicts at their edges
+# ---------------------------------------------------------------------------
+BLOCK_EDGE_CASES = {
+    "set-valued": {"set_valued": True},
+    "reachability": {"set_valued": False},
+    "closure": {"set_valued": True, "native_mode": "closure"},
+    "lru-pair-cache": {"set_valued": True, "lru": True},
+    "packed-bits": {"set_valued": False, "packed": True},
+    "multipass": {"set_valued": True, "window_size": 7},
+    "no-totals": {"set_valued": True, "num_total": 0, "num_partial": 2},
+    "totally-ordered": {"set_valued": True, "num_total": 3, "num_partial": 0},
+}
+
+
+@pytest.mark.parametrize("block,prefix", [(1, 3), (3, 2), (5, 6)])
+@pytest.mark.parametrize("case", sorted(BLOCK_EDGE_CASES))
+def test_parity_block_edges(monkeypatch, case, block, prefix):
+    """Tiny blocks and prefixes (``_BLOCK``/``_PREFIX``) on ~100-record
+    instances: windows longer than the prefix, evictions inside it
+    mid-block, block expiry and carried multi-pass entries all stay in
+    parity with the python kernel, on every relation storage."""
+    import repro.core.batch as batch_mod
+    from repro.core.batch import BatchDominanceKernel
+
+    spec = BLOCK_EDGE_CASES[case]
+    monkeypatch.setattr(batch_mod, "_BLOCK", block)
+    monkeypatch.setattr(batch_mod, "_PREFIX", prefix)
+    if spec.get("packed"):
+        monkeypatch.setattr(batch_mod, "_UNPACK_NODES", 0)
+    seen = {"full_prefix": 0, "evict_first": 0, "expired": 0, "resumed": 0}
+    last_block: list = []
+    real_block = BatchDominanceKernel.block_verdicts
+    real_scan = BatchDominanceKernel.scan_verdict
+
+    def block_verdicts(self, native, cands, rows_vt, rows_pt):
+        out = real_block(self, native, cands, rows_vt, rows_pt)
+        seen["full_prefix"] += rows_vt.shape[1] == prefix
+        seen["evict_first"] += sum(e < d for d, e in zip(out[0], out[1]))
+        # A block starting inside the previous one: that one expired.
+        seen["expired"] += any(cands[0] is p for p in last_block[1:])
+        last_block[:] = cands
+        return out
+
+    def scan_verdict(self, native, point, rows_vt, rows_pt):
+        seen["resumed"] += 1
+        return real_scan(self, native, point, rows_vt, rows_pt)
+
+    monkeypatch.setattr(BatchDominanceKernel, "block_verdicts", block_verdicts)
+    monkeypatch.setattr(BatchDominanceKernel, "scan_verdict", scan_verdict)
+
+    def force_lru(dataset):
+        dataset.kernel._max_bitset_nodes = 0
+
+    rng = random.Random(5700 + sorted(BLOCK_EDGE_CASES).index(case))
+    schema, records = random_mixed_dataset(
+        rng,
+        n=100,
+        num_total=spec.get("num_total", 2),
+        num_partial=spec.get("num_partial", 1),
+        set_valued=spec["set_valued"],
+    )
+    options = {}
+    if "window_size" in spec:
+        options["window_size"] = spec["window_size"]
+    kwargs = {}
+    if "native_mode" in spec:
+        kwargs["native_mode"] = spec["native_mode"]
+    results = assert_backend_parity(
+        schema,
+        records,
+        algorithms=("bnl", "bnl+", "sfs"),
+        options=options,
+        tweak=force_lru if spec.get("lru") else None,
+        **kwargs,
+    )
+    assert seen["full_prefix"], "no window reached the prefix"
+    assert seen["resumed"], "no scan resumed past a block verdict"
+    assert seen["evict_first"], "no eviction inside a prefix"
+    if block > 1:
+        assert seen["expired"], "no block expired"
+    if "window_size" in spec:
+        bnl_stats = results["numpy"]["bnl"][1]
+        assert bnl_stats["tuples_scanned"] > len(records), "single pass"
+
+
 def test_parity_sdc_plus_faithful_exclusion():
     """SDC+ with the paper-literal same-category exclusion."""
     rng = random.Random(56)

@@ -37,7 +37,7 @@ CHAOS_SEEDS = (int(_ENV_SEED),) if _ENV_SEED else _FIXED_SEEDS
 ALL_ALGORITHMS = ("bnl", "bnl+", "sfs", "bbs+", "sdc", "sdc+", "nn+", "dnc")
 
 
-def _make_engine(kernel: str) -> SkylineEngine:
+def _make_engine(kernel: str, n: int = 150) -> SkylineEngine:
     rng = random.Random(31)
     poset = diamond()
     schema = Schema(
@@ -53,7 +53,7 @@ def _make_engine(kernel: str) -> SkylineEngine:
             (rng.randint(1, 40), rng.randint(1, 40)),
             (poset.value(rng.randrange(len(poset))),),
         )
-        for i in range(150)
+        for i in range(n)
     ]
     return SkylineEngine(schema, records, kernel=kernel)
 
@@ -82,6 +82,35 @@ def test_numpy_fault_falls_back_to_exact_answer(
     assert result.complete
     assert engine.stats.kernel_fallbacks == 1
     assert sorted(p.record.rid for p in result) == reference_skyline_rids
+
+
+class _BlockFaults(FaultInjector):
+    """Counts, and fails, only BNL block-verdict calls."""
+
+    def maybe_fail(self, site: str) -> None:
+        if site == "kernel.block_verdicts":
+            super().maybe_fail(site)
+
+
+@pytest.mark.parametrize("seed", CHAOS_SEEDS)
+@pytest.mark.parametrize("algorithm", ("bnl", "bnl+"))
+def test_fault_inside_a_block_falls_back_to_exact_answer(seed, algorithm):
+    """A fault raised mid-run by a block verdict (2K records, so many
+    blocks precede it) recovers on the python kernel exactly."""
+    reference = sorted(r.rid for r in _make_engine("python", n=2000).skyline("sdc+"))
+    engine = _make_engine("numpy", n=2000)
+    injector = inject_kernel_faults(
+        engine.dataset, _BlockFaults(seed=seed, fail_after=5 + seed % 11)
+    )
+    with pytest.warns(KernelFallbackWarning):
+        result = engine.query(algorithm)
+    # The fault fired at the N-th block verdict (N >= 5), mid-run.
+    assert injector.sites == ["kernel.block_verdicts"]
+    assert injector.calls == injector.fail_after
+    assert result.fallback
+    assert result.complete
+    assert engine.stats.kernel_fallbacks == 1
+    assert sorted(p.record.rid for p in result) == reference
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)

@@ -10,6 +10,7 @@ import pytest
 
 from repro.exceptions import (
     AdmissionRejectedError,
+    AlgorithmError,
     BudgetExhaustedError,
     LockTimeoutError,
     ProtocolError,
@@ -137,6 +138,14 @@ class TestErrorMapping:
         assert limited["detail"]["retry_after"] == 0.25
         budget = error_payload(BudgetExhaustedError("answers", 3, 4))
         assert budget["detail"] == {"reason": "answers", "limit": 3, "used": 4}
+
+    def test_invalid_request_code_round_trips(self):
+        payload = error_payload(
+            AlgorithmError("unknown algorithm 'bogus'"), qid=9
+        )
+        assert payload["code"] == "invalid-request"
+        assert ERROR_CODES["invalid-request"] is AlgorithmError
+        assert FrameReader().feed(encode_frame(payload)) == [payload]
 
     def test_qid_omitted_for_connection_level_errors(self):
         payload = error_payload(ProtocolError("bad handshake"))

@@ -374,7 +374,7 @@ class TestProtocolViolations:
                 return excinfo.value
 
         error = asyncio.run(main())
-        assert error.code == "serving"
+        assert error.code == "invalid-request"
 
 
 class TestRateLimiting:

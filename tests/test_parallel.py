@@ -19,6 +19,7 @@ from repro.core.schema import NumericAttribute, PosetAttribute, Schema
 from repro.core.stats import ComparisonStats
 from repro.engine import SkylineEngine
 from repro.exceptions import (
+    AlgorithmError,
     ParallelError,
     ParallelFallbackWarning,
     QueryCancelledError,
@@ -33,6 +34,7 @@ from repro.parallel import (
 )
 from repro.parallel.executor import STAGE_KEYS
 from repro.posets.builder import diamond
+from repro.queries.constrained import Constraint
 from repro.resilience import CancellationToken, QueryContext, ResourceBudget
 from repro.resilience.chaos import FaultInjector
 from repro.serving import QueryRequest, SkylineServer
@@ -1124,3 +1126,91 @@ class TestServerIntegration:
             assert snap["fallbacks"] == 0
         finally:
             server.close()
+
+
+class TestCallerErrors:
+    """A request no evaluator can run fails where it is submitted: zero
+    comparisons, no pool, no fallback, no breaker verdict."""
+
+    def _server(self):
+        return SkylineServer(
+            _poset_engine(n=300).dataset,
+            workers=2,
+            parallel=ParallelConfig(workers=2),
+            parallel_threshold=100,
+        )
+
+    def test_unknown_algorithm_raises_from_submit_after_zero_comparisons(self):
+        server = self._server()
+        try:
+            with pytest.raises(AlgorithmError):
+                server.submit(QueryRequest(algorithm="bogus"))
+            snap = server.metrics.snapshot()
+            assert snap["admission"]["rejected"] == {"invalid-request": 1}
+            assert snap["admission"]["admitted"] == 0
+            assert server.stats.total_dominance_checks == 0
+            assert server._parallel._pool is None
+        finally:
+            server.close()
+
+    def test_bogus_requests_leave_the_parallel_breaker_closed(self):
+        import warnings as _warnings
+
+        server = self._server()
+        try:
+            with _warnings.catch_warnings():
+                _warnings.simplefilter("error", ParallelFallbackWarning)
+                for _ in range(3):
+                    with pytest.raises(AlgorithmError):
+                        server.submit(QueryRequest(algorithm="bogus"))
+            assert server._parallel_breaker.state == "closed"
+            assert server.metrics.snapshot()["parallel"]["queries"] == 0
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize(
+        "request_fields",
+        [
+            {"algorithm": "bnl", "options": {"bogus_option": 1}},
+            {"algorithm": "bogus", "subspace": ("a", "b")},
+            {"skyband_k": 2, "options": {"method": "no-such-method"}},
+            {"skyband_k": 2, "options": {"window_size": 7}},
+            {
+                "constraint": Constraint(ranges={"a": (None, 20)}),
+                "options": {"method": "nested-loops"},
+            },
+        ],
+    )
+    def test_invalid_shapes_and_options_raise_from_submit(self, request_fields):
+        server = self._server()
+        try:
+            with pytest.raises(AlgorithmError):
+                server.submit(QueryRequest(**request_fields))
+            assert server.stats.total_dominance_checks == 0
+        finally:
+            server.close()
+
+    def test_accepted_methods_still_run(self):
+        server = self._server()
+        try:
+            for method in ("bbs", "nested-loops", "nl"):
+                result = server.submit(
+                    QueryRequest(skyband_k=1, options={"method": method})
+                ).result(timeout=60)
+                assert result.complete
+        finally:
+            server.close()
+
+    def test_executor_rejects_unknown_option_before_routing(self):
+        engine = _poset_engine(n=300)
+        with engine.parallel_executor(ParallelConfig(workers=2)) as executor:
+            with pytest.raises(AlgorithmError):
+                executor.run("bnl", stats=ComparisonStats(), bogus_option=1)
+            assert executor._pool is None
+
+    def test_get_algorithm_rejects_unknown_option(self):
+        from repro.algorithms.base import get_algorithm
+
+        with pytest.raises(AlgorithmError):
+            get_algorithm("bnl", bogus_option=1)
+        assert get_algorithm("bnl", window_size=7).window_size == 7

@@ -126,7 +126,7 @@ def test_generous_deadline_completes():
 # ---------------------------------------------------------------------------
 # Budget exhaustion: graceful PartialResult, prefix of the emission order
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("algorithm", ("bbs+", "sdc", "sdc+"))
+@pytest.mark.parametrize("algorithm", ("bnl", "bnl+", "bbs+", "sdc", "sdc+"))
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_comparison_budget_partial_is_prefix(algorithm, kernel):
     full = [p.record.rid for p in _mixed_engine(kernel).query(algorithm)]
@@ -138,6 +138,27 @@ def test_comparison_budget_partial_is_prefix(algorithm, kernel):
         if not result.complete:
             assert result.exhausted_reason == "comparisons"
             assert result.counters  # the partial still reports its charges
+
+
+@pytest.mark.parametrize("algorithm", ("bnl", "bnl+"))
+def test_comparison_budget_partial_matches_python_kernel(algorithm):
+    """Block verdicts charge each candidate before its successor's
+    checkpoint, so a budget stops the numpy kernel at the same candidate,
+    with the same answers and counters, as the python kernel."""
+    engine = _mixed_engine("python")
+    engine.query(algorithm)
+    total = engine.stats.total_dominance_checks
+    for limit in (10, 100, total // 4, total // 2, 3 * total // 4):
+        partials = {}
+        for kernel in KERNELS:
+            result = _mixed_engine(kernel).query(algorithm, max_comparisons=limit)
+            partials[kernel] = (
+                [p.record.rid for p in result],
+                result.counters,
+                result.exhausted_reason,
+            )
+        assert partials["numpy"] == partials["python"], (algorithm, limit)
+        assert partials["numpy"][2] == "comparisons", (algorithm, limit)
 
 
 def test_comparison_budget_eventually_completes():
